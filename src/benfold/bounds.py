@@ -20,7 +20,6 @@ import numpy as np
 from .density import (
     DensityError,
     PiecewiseDensity,
-    _eval_vec,
     _piece_list,
     _snap_int,
     tv_full_line,
@@ -92,7 +91,7 @@ def bound_step_density(f: PiecewiseDensity) -> BoundReport:
     single cell.
     """
     n_lo, m_hi = f.delineated_interval()
-    closed_form = all(seg.integral is not None for seg in f.segments)
+    closed_form = all(seg.kind != "custom" for seg in f.segments)
     total = 0.0
     for k in range(n_lo, m_hi):
         s_k = sum(seg.mass(k, k + 1) for seg in f.segments)
@@ -123,37 +122,11 @@ def _cell_abs_deviation(f: PiecewiseDensity, a: float, b: float, level: float) -
 
 
 def _segment_abs_deviation(seg, lo: float, hi: float, level: float) -> float:
-    cuts = [lo, hi]
-    if seg.monotonicity in ("increasing", "decreasing", "constant"):
-        y0 = float(np.asarray(seg.fn(lo), dtype=float)) - level
-        y1 = float(np.asarray(seg.fn(hi), dtype=float)) - level
-        if y0 * y1 < 0:
-            cuts.append(_brentq(lambda x: float(seg.fn(x)) - level, lo, hi))
-    else:
-        cuts.extend(_scan_roots(lambda x: np.asarray(seg.fn(x), dtype=float) - level, lo, hi))
-    cuts = sorted(set(cuts))
+    cuts = sorted({lo, hi, *seg.crossings(level, lo, hi)})
     total = 0.0
     for p, q in zip(cuts, cuts[1:]):
         total += abs(seg.mass(p, q) - level * (q - p))
     return total
-
-
-def _brentq(fn, a: float, b: float) -> float:
-    from scipy.optimize import brentq
-
-    return float(brentq(fn, a, b, xtol=1e-14, rtol=1e-15))
-
-
-def _scan_roots(fn, a: float, b: float, points: int = 65):
-    xs = np.linspace(a, b, points)
-    ys = _eval_vec(fn, xs)
-    roots = []
-    for i in range(len(xs) - 1):
-        if ys[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif ys[i] * ys[i + 1] < 0:
-            roots.append(_brentq(lambda x: float(fn(x)), float(xs[i]), float(xs[i + 1])))
-    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +213,7 @@ def bound_convex_eighth(
     pieces = _piece_list(f)
     if any(seg is None for seg, _, _ in pieces):
         raise DensityError("interior zero gap breaks monotonicity and convexity")
-    vals = [
-        (float(np.asarray(seg.fn(lo), dtype=float)), float(np.asarray(seg.fn(hi), dtype=float)))
-        for seg, lo, hi in pieces
-    ]
+    vals = [(float(seg(lo)), float(seg(hi))) for seg, lo, hi in pieces]
     scale = max(max(v) for v in vals) + 1e-30
     for (_, left_hi), (right_lo, _) in zip(vals, vals[1:]):
         if abs(right_lo - left_hi) > 1e-9 * scale:
@@ -280,7 +250,7 @@ def bound_convex_eighth(
 
 def _grid_monotone_convex(f: PiecewiseDensity, s_lo: float, s_hi: float) -> bool:
     xs = np.linspace(s_lo, s_hi, 257)
-    ys = _eval_vec(f, xs)
+    ys = f(xs)
     d1 = np.diff(ys)
     tol = 1e-9 * (np.max(np.abs(ys)) + 1e-30)
     monotone = np.all(d1 >= -tol) or np.all(d1 <= tol)

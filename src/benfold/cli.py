@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .bounds import (
+    METHODS,
     BoundReport,
     VacuousBoundError,
     bound_convex_eighth,
@@ -41,6 +42,7 @@ from .density import (
     uniform_log_density,
 )
 from .oracle import (
+    BisectionError,
     OracleResult,
     QuadratureConfig,
     QuadratureError,
@@ -50,16 +52,6 @@ from .oracle import (
 )
 
 DEFAULT_NS = (1, 2, 3, 4, 5, 8, 10, 20, 50, 100, 1000)
-
-BOUND_METHODS = (
-    "step_density",
-    "tv_quarter",
-    "convex_eighth",
-    "tv_scaled",
-    "uniform_log_closed",
-    "fourier_parseval",
-    "fourier_closed",
-)
 
 
 @dataclass(frozen=True)
@@ -210,21 +202,22 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
         raise DensityError("piecewise file must hold a nonempty JSON array of segments")
+    builders = {
+        "const": (const_segment, ("value",)),
+        "linear": (linear_segment, ("slope", "intercept")),
+        "exp": (exp_segment, ("amp", "rate")),
+    }
     segments = []
     for entry in data:
         try:
-            lo = float(entry["lo"])
-            hi = float(entry["hi"])
             kind = entry["kind"]
-            params = entry.get("params", {})
-            if kind == "const":
-                seg = const_segment(lo, hi, float(params["value"]))
-            elif kind == "linear":
-                seg = linear_segment(lo, hi, float(params["slope"]), float(params["intercept"]))
-            elif kind == "exp":
-                seg = exp_segment(lo, hi, float(params["amp"]), float(params["rate"]))
-            else:
+            if kind not in builders:
                 raise DensityError(f"unknown segment kind {kind!r}")
+            builder, names = builders[kind]
+            params = entry.get("params", {})
+            seg = builder(
+                float(entry["lo"]), float(entry["hi"]), *(float(params[k]) for k in names)
+            )
         except KeyError as exc:
             raise DensityError(f"segment record missing field {exc}") from exc
         mono = entry.get("monotonicity")
@@ -335,7 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute one upper bound for a density")
     p.add_argument("--density", required=True)
-    p.add_argument("--method", required=True, choices=BOUND_METHODS)
+    p.add_argument(
+        "--method", required=True, choices=[m for m in METHODS if m != "exact_uniform"]
+    )
     p.add_argument("--n", type=float, default=1)
     p.add_argument("--k-max", type=int, default=1000)
 
@@ -397,7 +392,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (VacuousBoundError, QuadratureError) as exc:
+    except (VacuousBoundError, QuadratureError, BisectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -9,7 +9,7 @@ degrade to grid estimation, which is reported as a lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -17,33 +17,41 @@ import numpy as np
 MONOTONICITIES = ("increasing", "decreasing", "constant", "unknown")
 CONVEXITIES = ("convex", "concave", "neither", "unknown")
 
+# Per segment kind: the power of n each parameter picks up when the density
+# is stretched to x -> f(x/n)/n, and the power of c it picks up when the
+# amplitude is multiplied by c.
+_PARAM_MAPS = {
+    "const": ((-1,), (1,)),  # value
+    "linear": ((-2, -1), (1, 1)),  # slope, intercept
+    "exp": ((-1, -1), (1, 0)),  # amp, rate
+    "custom": ((1, -1), (0, 1)),  # xscale, amp
+}
+
 # relative slack when deciding whether an endpoint sits exactly on an integer
 _INT_SNAP_TOL = 1e-12
 # a segment whose mass falls below this is identically zero for our purposes
 _ZERO_MASS = 1e-15
+# a density's total mass must be 1 within this
+_TOTAL_MASS_TOL = 1e-10
 
 
 class DensityError(ValueError):
     """Invalid density construction or a domain violation."""
 
 
-def _eval_vec(fn, xs: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(fn(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(x)) for x in xs], dtype=float)
-
-
 def _quad(fn, a: float, b: float) -> float:
-    # plumbing fallback for segments without a closed-form antiderivative
+    # mass of a custom segment, which has no closed-form antiderivative
     from scipy.integrate import quad
 
     val, _ = quad(fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
+
+
+def _brentq(fn, a: float, b: float) -> float:
+    # crossing of a custom segment, which has no closed form
+    from scipy.optimize import brentq
+
+    return float(brentq(fn, a, b, xtol=1e-14, rtol=1e-15))
 
 
 def _snap_int(x: float) -> int | None:
@@ -96,20 +104,29 @@ def _pow_scale(x: float, b: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece of a density on [lo, hi].
+    """One smooth piece of a density on [lo, hi], tagged with its kind.
 
-    fn evaluates the density (vectorized over numpy arrays).  integral, when
-    present, is the exact antiderivative as a (a, b) -> value callable and
-    must agree with quadrature of fn.  The shape flags certify behaviour the
-    variation and bound code is allowed to rely on.
+    kind names the shape and params holds its parameters:
+
+        const   (value,)            value
+        linear  (slope, intercept)  slope*x + intercept
+        exp     (amp, rate)         amp * e**(rate*x), rate nonzero
+        custom  (xscale, amp)       amp * base(x / xscale)
+
+    base is the callable of a custom segment (None for the other kinds) and
+    must be vectorized over numpy arrays.  Value, mass and level crossings
+    have closed forms for every kind but custom, which integrates and finds
+    crossings numerically with scipy, imported on first use.  The shape flags
+    certify behaviour the variation and bound code is allowed to rely on.
     """
 
     lo: float
     hi: float
-    fn: Callable
+    base: Callable | None = None
     monotonicity: str = "unknown"
     convexity: str = "unknown"
-    integral: Callable[[float, float], float] | None = None
+    kind: str = "custom"
+    params: tuple[float, ...] = (1.0, 1.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -120,15 +137,43 @@ class Segment:
             raise DensityError(f"unknown monotonicity flag {self.monotonicity!r}")
         if self.convexity not in CONVEXITIES:
             raise DensityError(f"unknown convexity flag {self.convexity!r}")
+        if self.kind not in _PARAM_MAPS:
+            raise DensityError(f"unknown segment kind {self.kind!r}")
+        if (self.base is None) == (self.kind == "custom"):
+            raise DensityError("a custom segment needs a callable base; other kinds take none")
+        params = tuple(self.params)
+        if len(params) != len(_PARAM_MAPS[self.kind][0]):
+            raise DensityError(f"wrong parameter count for a {self.kind} segment: {params!r}")
+        if self.kind == "exp" and params[1] == 0.0:
+            raise DensityError("exp segment needs a nonzero rate")
+        object.__setattr__(self, "params", params)
         xs = np.linspace(self.lo, self.hi, 17)
-        ys = _eval_vec(self.fn, xs)
+        try:
+            ys = self(xs)
+        except (TypeError, ValueError) as exc:
+            raise DensityError(f"segment function must be vectorized: {exc}") from exc
+        if ys.shape != xs.shape:
+            raise DensityError("segment function must be vectorized over numpy arrays")
         if not np.all(np.isfinite(ys)):
             raise DensityError("segment evaluates to a non-finite value")
         if np.any(ys < -1e-12):
             raise DensityError("segment evaluates negative; densities are nonnegative")
 
     def __call__(self, x):
-        return self.fn(x)
+        x = np.asarray(x, dtype=float)
+        p = self.params
+        if self.kind == "const":
+            return np.full(x.shape, p[0])
+        if self.kind == "linear":
+            return p[0] * x + p[1]
+        if self.kind == "exp":
+            return p[0] * np.exp(p[1] * x)
+        return p[1] * np.asarray(self.base(x / p[0]), dtype=float)
+
+    @property
+    def fn(self) -> Callable:
+        """The segment's value function."""
+        return self.__call__
 
     def mass(self, a: float | None = None, b: float | None = None) -> float:
         """Integral of the segment over [a, b] (defaults to the whole piece)."""
@@ -136,22 +181,66 @@ class Segment:
         b = self.hi if b is None else min(b, self.hi)
         if b <= a:
             return 0.0
-        if self.integral is not None:
-            return float(self.integral(a, b))
-        return _quad(self.fn, a, b)
+        p = self.params
+        if self.kind == "const":
+            return p[0] * (b - a)
+        if self.kind == "linear":
+            return 0.5 * p[0] * (b * b - a * a) + p[1] * (b - a)
+        if self.kind == "exp":
+            return (p[0] / p[1]) * (math.exp(p[1] * b) - math.exp(p[1] * a))
+        return _quad(self, a, b)
+
+    def crossings(self, level: float, a: float, b: float) -> list[float]:
+        """Points of [a, b] where the segment crosses level.
+
+        Built-in kinds are monotone, so they cross at most once, at a point
+        given in closed form.  A custom segment is scanned (at its endpoints
+        only when flagged monotone) and each sign change refined by brentq.
+        """
+        p = self.params
+        if self.kind == "const" or (self.kind == "linear" and p[0] == 0.0):
+            return []
+        if self.kind == "linear":
+            x = (level - p[1]) / p[0]
+            return [x] if a < x < b else []
+        if self.kind == "exp":
+            x = math.log(level / p[0]) / p[1] if level > 0 else math.nan
+            return [x] if a < x < b else []
+        monotone = self.monotonicity in ("increasing", "decreasing", "constant")
+        xs = np.linspace(a, b, 2 if monotone else 65)
+        ys = self(xs) - level
+        roots = []
+        for i in range(len(xs) - 1):
+            if ys[i] == 0.0:
+                roots.append(float(xs[i]))
+            elif ys[i] * ys[i + 1] < 0:
+                roots.append(
+                    _brentq(lambda x: float(self(x)) - level, float(xs[i]), float(xs[i + 1]))
+                )
+        return roots
+
+    def stretched(self, n: float) -> Segment:
+        """The matching piece of the density of n*X: x -> self(x/n)/n."""
+        powers = _PARAM_MAPS[self.kind][0]
+        params = tuple(p * n**k for p, k in zip(self.params, powers))
+        return replace(self, lo=self.lo * n, hi=self.hi * n, params=params)
+
+    def amplified(self, c: float) -> Segment:
+        """The segment times the constant c > 0."""
+        powers = _PARAM_MAPS[self.kind][1]
+        return replace(self, params=tuple(p * c**k for p, k in zip(self.params, powers)))
 
 
 @dataclass(frozen=True)
 class PiecewiseDensity:
     """A probability density given as ordered, non-overlapping segments.
 
-    Total mass must be 1 within total_mass_tolerance.  Segments that carry
-    no mass are dropped at construction; an identically-zero input is
-    rejected.  Instances are immutable and safe to share across threads.
+    Total mass must be 1 within 1e-10.  Segments that carry no mass are
+    dropped at construction; an identically-zero input is rejected.
+    Instances are immutable and safe to share across threads.
     """
 
     segments: tuple[Segment, ...]
-    total_mass_tolerance: float = 1e-10
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -168,10 +257,8 @@ class PiecewiseDensity:
             raise DensityError("density is identically zero")
         kept_masses = tuple(m for m in masses if m > _ZERO_MASS)
         total = math.fsum(kept_masses)
-        if abs(total - 1.0) > self.total_mass_tolerance:
-            raise DensityError(
-                f"density mass is {total!r}, not 1 within {self.total_mass_tolerance}"
-            )
+        if abs(total - 1.0) > _TOTAL_MASS_TOL:
+            raise DensityError(f"density mass is {total!r}, not 1 within {_TOTAL_MASS_TOL}")
         object.__setattr__(self, "segments", keep)
         object.__setattr__(self, "_masses", kept_masses)
 
@@ -200,34 +287,29 @@ class PiecewiseDensity:
             else:
                 m = (pts >= seg.lo) & (pts < seg.hi)
             if m.any():
-                out[m] = _eval_vec(seg.fn, pts[m])
+                out[m] = seg(pts[m])
         return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
 class FoldedDensity:
-    """Density of X mod 1 on [0, 1), as a sum of integer translates.
-
-    truncation_mass is the mass of translates that were dropped; it is 0 for
-    the compact supports this representation can express.
-    """
+    """Density of X mod 1 on [0, 1), as a sum of integer translates."""
 
     fn: Callable
-    truncation_mass: float = 0.0
 
     def __call__(self, t):
         return self.fn(t)
 
 
-def fold_mod1(f: PiecewiseDensity, tail_epsilon: float = 1e-12) -> FoldedDensity:
+def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     """Fold f modulo 1: eval(t) = sum over integers k of f(t + k).
 
     Every segment has finite endpoints, so the translate set is enumerated
-    exactly and nothing is truncated.  tail_epsilon is validated for
-    interface stability but never exercised here.
+    exactly and nothing is truncated.  The translates of each point are
+    summed along one contiguous row, in the same order for every call
+    shape, so a scalar call returns bit for bit what the same point gets
+    inside a vector call.
     """
-    if not tail_epsilon > 0:
-        raise DensityError("tail_epsilon must be positive")
     pieces = []
     last = len(f.segments) - 1
     for i, seg in enumerate(f.segments):
@@ -242,54 +324,25 @@ def fold_mod1(f: PiecewiseDensity, tail_epsilon: float = 1e-12) -> FoldedDensity
         tt = np.atleast_1d(ts)
         out = np.zeros(tt.shape, dtype=float)
         for seg, ks, is_last in pieces:
-            pts = tt[None, :] + ks[:, None]
+            pts = tt[:, None] + ks[None, :]
             if is_last:
                 m = (pts >= seg.lo) & (pts <= seg.hi)
             else:
                 m = (pts >= seg.lo) & (pts < seg.hi)
             if m.any():
                 vals = np.zeros(pts.shape, dtype=float)
-                vals[m] = _eval_vec(seg.fn, pts[m])
-                out += vals.sum(axis=0)
+                vals[m] = seg(pts[m])
+                out += vals.sum(axis=1)
         return float(out[0]) if scalar else out
 
-    return FoldedDensity(fn=fn, truncation_mass=0.0)
+    return FoldedDensity(fn=fn)
 
 
 def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
     """Density of n*X: x -> f(x/n)/n, support stretched by n, flags preserved."""
     if not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0):
         raise DensityError(f"scale factor must be positive, got {n!r}")
-    n = float(n)
-    segs = tuple(
-        Segment(
-            lo=seg.lo * n,
-            hi=seg.hi * n,
-            fn=_scaled_fn(seg.fn, n),
-            monotonicity=seg.monotonicity,
-            convexity=seg.convexity,
-            integral=_scaled_integral(seg.integral, n),
-        )
-        for seg in f.segments
-    )
-    return PiecewiseDensity(segs, f.total_mass_tolerance)
-
-
-def _scaled_fn(fn, n):
-    def g(x):
-        return np.asarray(fn(np.asarray(x, dtype=float) / n), dtype=float) / n
-
-    return g
-
-
-def _scaled_integral(integral, n):
-    if integral is None:
-        return None
-
-    def g(a, b):
-        return integral(a / n, b / n)
-
-    return g
+    return PiecewiseDensity(tuple(seg.stretched(float(n)) for seg in f.segments))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +357,7 @@ def grid_variation(fn, lo: float, hi: float, points: int = 1025) -> float:
     dyadic point counts) makes it nondecreasing and convergent from below.
     """
     xs = np.linspace(lo, hi, points)
-    ys = _eval_vec(fn, xs)
+    ys = np.asarray(fn(xs), dtype=float)
     return float(np.abs(np.diff(ys)).sum())
 
 
@@ -348,15 +401,15 @@ def _variation_core(f: PiecewiseDensity):
         if seg is None:
             endpoint_vals.append((0.0, 0.0))
             continue
-        v_lo = float(np.asarray(seg.fn(lo), dtype=float))
-        v_hi = float(np.asarray(seg.fn(hi), dtype=float))
+        v_lo = float(seg(lo))
+        v_hi = float(seg(hi))
         if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
             return math.inf, False, math.inf, math.inf
         endpoint_vals.append((v_lo, v_hi))
         if seg.monotonicity in ("increasing", "decreasing", "constant"):
             total += abs(v_hi - v_lo)
         else:
-            total += _grid_variation_refined(seg.fn, lo, hi)
+            total += _grid_variation_refined(seg, lo, hi)
             certified = False
     for i in range(len(pieces) - 1):
         total += abs(endpoint_vals[i + 1][0] - endpoint_vals[i][1])
@@ -402,47 +455,24 @@ def tv_full_line(f: PiecewiseDensity) -> float:
 def const_segment(lo: float, hi: float, value: float) -> Segment:
     if value < 0:
         raise DensityError("constant segment needs a nonnegative value")
-    v = float(value)
-
-    def fn(x):
-        return np.full(np.shape(np.asarray(x, dtype=float)), v)
-
-    def integral(a, b):
-        return v * (b - a)
-
-    return Segment(lo, hi, fn, "constant", "convex", integral)
+    return Segment(lo, hi, None, "constant", "convex", "const", (float(value),))
 
 
 def linear_segment(lo: float, hi: float, slope: float, intercept: float) -> Segment:
     """Affine piece slope*x + intercept; affine counts as convex."""
-    s, c = float(slope), float(intercept)
+    s = float(slope)
     mono = "increasing" if s > 0 else ("decreasing" if s < 0 else "constant")
-
-    def fn(x):
-        return s * np.asarray(x, dtype=float) + c
-
-    def integral(a, b):
-        return 0.5 * s * (b * b - a * a) + c * (b - a)
-
-    return Segment(lo, hi, fn, mono, "convex", integral)
+    return Segment(lo, hi, None, mono, "convex", "linear", (s, float(intercept)))
 
 
 def exp_segment(lo: float, hi: float, amp: float, rate: float) -> Segment:
     """Exponential piece amp * e**(rate*x); convex for amp > 0."""
-    a_, r = float(amp), float(rate)
-    if a_ <= 0:
+    if amp <= 0:
         raise DensityError("exponential segment needs amp > 0")
-    if r == 0.0:
-        return const_segment(lo, hi, a_)
-    mono = "increasing" if r > 0 else "decreasing"
-
-    def fn(x):
-        return a_ * np.exp(r * np.asarray(x, dtype=float))
-
-    def integral(p, q):
-        return (a_ / r) * (math.exp(r * q) - math.exp(r * p))
-
-    return Segment(lo, hi, fn, mono, "convex", integral)
+    if rate == 0.0:
+        return const_segment(lo, hi, amp)
+    mono = "increasing" if rate > 0 else "decreasing"
+    return Segment(lo, hi, None, mono, "convex", "exp", (float(amp), float(rate)))
 
 
 def uniform_density(lo: float, hi: float) -> PiecewiseDensity:
@@ -477,7 +507,7 @@ def triangular_density(lo: float, peak: float, hi: float) -> PiecewiseDensity:
     )
 
 
-def normalized(segments, total_mass_tolerance: float = 1e-10) -> PiecewiseDensity:
+def normalized(segments) -> PiecewiseDensity:
     """Scale segment amplitudes by a common factor so the total mass is 1."""
     segs = tuple(segments)
     if not segs:
@@ -485,21 +515,4 @@ def normalized(segments, total_mass_tolerance: float = 1e-10) -> PiecewiseDensit
     total = math.fsum(seg.mass() for seg in segs)
     if not (math.isfinite(total) and total > 0):
         raise DensityError(f"cannot normalize segments with total mass {total!r}")
-    scaled = tuple(_scaled_amplitude(seg, 1.0 / total) for seg in segs)
-    return PiecewiseDensity(scaled, total_mass_tolerance)
-
-
-def _scaled_amplitude(seg: Segment, c: float) -> Segment:
-    fn = seg.fn
-
-    def scaled_fn(x):
-        return c * np.asarray(fn(x), dtype=float)
-
-    integral = seg.integral
-    scaled_integral = None
-    if integral is not None:
-
-        def scaled_integral(a, b):
-            return c * integral(a, b)
-
-    return Segment(seg.lo, seg.hi, scaled_fn, seg.monotonicity, seg.convexity, scaled_integral)
+    return PiecewiseDensity(tuple(seg.amplified(1.0 / total) for seg in segs))

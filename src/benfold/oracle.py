@@ -21,7 +21,6 @@ import numpy as np
 from .density import (
     FoldedDensity,
     PiecewiseDensity,
-    _eval_vec,
     _floor_snapped,
     _snap_int,
     fold_mod1,
@@ -31,6 +30,14 @@ from .density import (
 # relative inset used for endpoint evaluations, so one-sided limits are
 # sampled instead of the other piece's value at a shared breakpoint
 _EDGE_INSET = 1e-12
+# adaptive Simpson gives up when its active interval set would outgrow this
+_MAX_INTERVALS = 1 << 20
+# halvings of the bracket in bisect_root
+_BISECT_STEPS = 80
+
+
+class BisectionError(ValueError):
+    """Bisection was handed an interval without a sign change."""
 
 
 class QuadratureError(RuntimeError):
@@ -94,7 +101,6 @@ def adaptive_simpson(
     b: float,
     abs_tol: float = 1e-10,
     max_depth: int = 60,
-    max_intervals: int = 1 << 20,
 ):
     """Integrate fn over [a, b] with a level-synchronous adaptive Simpson rule.
 
@@ -106,7 +112,7 @@ def adaptive_simpson(
 
     Returns (value, error_estimate).  Raises QuadratureError if intervals hit
     max_depth with more unresolved error than abs_tol, or if an unattainable
-    tolerance makes the active set outgrow max_intervals.
+    tolerance makes the active set outgrow 2**20 intervals.
     """
     if b <= a:
         return 0.0, 0.0
@@ -144,11 +150,11 @@ def adaptive_simpson(
         keep = ~done
         if not keep.any():
             break
-        if 2 * int(keep.sum()) > max_intervals:
+        if 2 * int(keep.sum()) > _MAX_INTERVALS:
             partial = total + float(s[keep].sum())
             raise QuadratureError(
                 f"tolerance {abs_tol:g} unattainable: active subdivision count "
-                f"exceeded {max_intervals}",
+                f"exceeded {_MAX_INTERVALS}",
                 partial_value=partial,
                 error_estimate=err_total + float(np.abs(err[keep]).sum()),
             )
@@ -184,7 +190,7 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
     return total, err
 
 
-def bisect_root(fn, a: float, b: float, iterations: int = 80) -> float:
+def bisect_root(fn, a: float, b: float) -> float:
     """Plain bisection for a sign change of fn on [a, b]."""
     fa = float(fn(a))
     fb = float(fn(b))
@@ -193,8 +199,8 @@ def bisect_root(fn, a: float, b: float, iterations: int = 80) -> float:
     if fb == 0.0:
         return b
     if fa * fb > 0:
-        raise ValueError("bisection needs a sign change")
-    for _ in range(iterations):
+        raise BisectionError("bisection needs a sign change")
+    for _ in range(_BISECT_STEPS):
         m = 0.5 * (a + b)
         fm = float(fn(m))
         if fm == 0.0:
@@ -212,7 +218,7 @@ def _find_crossings(fn, a: float, b: float, scan_points: int = 65):
     if span <= 0:
         return []
     xs = np.linspace(a + _EDGE_INSET * span, b - _EDGE_INSET * span, scan_points)
-    ys = _eval_vec(fn, xs)
+    ys = _make_batch_eval(fn)(xs)
     roots = []
     for i in range(len(xs) - 1):
         y0, y1 = ys[i], ys[i + 1]
@@ -278,7 +284,7 @@ def delta_numeric(
     )
     return OracleResult(
         value=0.5 * value,
-        error_estimate=0.5 * err + folded.truncation_mass,
+        error_estimate=0.5 * err,
         method="quadrature_L1",
         detail=(
             f"adaptive Simpson, n={n}, {n_pieces} sign-resolved pieces, "
@@ -309,11 +315,11 @@ def delta_crossing_unimodal(
     if ga * gb >= 0:
         # no strict sign change: a monotone density with unit mass must then
         # be flat at 1, otherwise the monotonicity certificate is wrong
-        dev = float(np.max(np.abs(_eval_vec(g, np.linspace(a, b, 257)))))
+        dev = float(np.max(np.abs(_make_batch_eval(g)(np.linspace(a, b, 257)))))
         if dev < 1e-6:
             return OracleResult(
                 value=0.0,
-                error_estimate=dev + folded.truncation_mass,
+                error_estimate=dev,
                 method="crossing_point",
                 detail="no crossing of 1; density is uniform within grid tolerance",
             )
@@ -325,7 +331,7 @@ def delta_crossing_unimodal(
     cdf_t0, err = integrate(folded, 0.0, t0, cfg)
     return OracleResult(
         value=abs(t0 - cdf_t0),
-        error_estimate=err + folded.truncation_mass,
+        error_estimate=err,
         method="crossing_point",
         detail=f"t0={t0:.15f}, cdf(t0)={cdf_t0:.15f}",
     )
@@ -371,9 +377,10 @@ def delta_monte_carlo(
 def inverse_cdf_sampler(f: PiecewiseDensity):
     """Exact sampler for a piecewise density via per-segment inverse CDFs.
 
-    Segments are chosen by mass, then inverted in closed form: constants
-    uniformly, affine pieces by solving the quadratic CDF, exponentials by
-    the log formula.  Anything else falls back to a fine numerical inverse.
+    Segments are chosen by mass, then inverted in closed form by kind:
+    constants uniformly, affine pieces by solving the quadratic CDF,
+    exponentials by the log formula.  Custom segments fall back to a fine
+    numerical inverse.
     """
     masses = np.array(f.segment_masses)
     weights = masses / masses.sum()
@@ -393,31 +400,23 @@ def inverse_cdf_sampler(f: PiecewiseDensity):
 
 
 def _invert_segment(seg, mass, u):
-    lo, hi = seg.lo, seg.hi
-    v_lo = float(np.asarray(seg.fn(lo), dtype=float))
-    v_hi = float(np.asarray(seg.fn(hi), dtype=float))
-    width = hi - lo
-    if abs(v_hi - v_lo) <= 1e-14 * max(1.0, abs(v_lo)):
+    lo, width = seg.lo, seg.hi - seg.lo
+    if seg.kind == "const" or (seg.kind == "linear" and seg.params[0] == 0.0):
         return lo + u * width
-    mid = seg.mass(lo, lo + 0.5 * width)
-    linear_mid = 0.5 * width * (v_lo + 0.5 * (v_hi - v_lo))
-    if abs(mid - linear_mid) <= 1e-9 * max(mass, 1e-30):
-        # affine: solve (v_lo + s*(x-lo)/2)*(x-lo) = u*mass for x-lo
-        s = (v_hi - v_lo) / width
-        disc = np.sqrt(v_lo * v_lo + 2.0 * s * u * mass)
-        return lo + (disc - v_lo) / s
-    if v_lo > 0 and v_hi > 0:
-        r = math.log(v_hi / v_lo) / width
-        amp = v_lo * math.exp(-r * lo)
-        expected = (amp / r) * (math.exp(r * hi) - math.exp(r * lo))
-        if abs(expected - mass) <= 1e-9 * max(mass, 1e-30):
-            return np.log(np.exp(r * lo) + u * r * mass / amp) / r
+    if seg.kind == "linear":
+        # solve (v_lo + s*(x-lo)/2)*(x-lo) = u*mass for x-lo
+        s, c = seg.params
+        v_lo = s * lo + c
+        return lo + (np.sqrt(v_lo * v_lo + 2.0 * s * u * mass) - v_lo) / s
+    if seg.kind == "exp":
+        amp, r = seg.params
+        return np.log(np.exp(r * lo) + u * r * mass / amp) / r
     return _numeric_inverse(seg, mass, u)
 
 
 def _numeric_inverse(seg, mass, u):
     xs = np.linspace(seg.lo, seg.hi, 4097)
-    ys = _eval_vec(seg.fn, xs)
+    ys = seg(xs)
     cdf = np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) * 0.5 * np.diff(xs))])
     cdf /= cdf[-1]
     return np.interp(u, cdf, xs)

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import benfold.cli as cli
 from benfold.bounds import VacuousBoundError
 from benfold.density import DensityError
+from benfold.oracle import BisectionError
 
 GOLDEN = Path(__file__).parent / "data" / "table_b10.golden"
 
@@ -226,6 +230,70 @@ def test_oracle_unattainable_tolerance_exits_3(capsys):
     )
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("n", ("59", "500", "1000"))
+def test_oracle_triangular_uniform_fold_exits_0(capsys, n):
+    code, out, _ = run_cli(capsys, "oracle", "--density", "triangular 0 1 2", "--n", n)
+    assert code == 0
+    assert "value=0.0000000" in out
+
+
+def test_oracle_bisection_failure_exits_3(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise BisectionError("bisection needs a sign change")
+
+    monkeypatch.setattr(cli, "delta_numeric", boom)
+    code, _, err = run_cli(capsys, "oracle", "--density", "uniform 0 1", "--n", "3")
+    assert code == 3
+    assert "numerical failure" in err
+
+
+# ---------------------------------------------------------------------------
+# scipy stays a lazy import for custom segments only
+# ---------------------------------------------------------------------------
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _run_python(code):
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_builtin_densities_do_not_import_scipy():
+    out = _run_python(
+        "import sys\n"
+        "from benfold.cli import main\n"
+        "codes = [main(['bound', '--density', 'uniform-log b=10', '--method', 'step_density']),\n"
+        "         main(['oracle', '--density', 'uniform-log b=10', '--n', '1000'])]\n"
+        "print('CODES', codes)\n"
+        "print('SCIPY', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert "CODES [0, 0]" in out
+    assert "SCIPY []" in out
+
+
+def test_custom_segment_still_imports_scipy_lazily():
+    out = _run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "import benfold as bf\n"
+        "seg = bf.Segment(0.0, 1.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))\n"
+        "print('BEFORE', 'scipy' in sys.modules)\n"
+        "f = bf.PiecewiseDensity((seg,))\n"
+        "print('STEP', bf.bound_step_density(f).value)\n"
+        "print('AFTER', 'scipy' in sys.modules)\n"
+    )
+    assert "BEFORE False" in out
+    assert "AFTER True" in out
+    step = float(out.split("STEP ")[1].split()[0])
+    # half the L1 distance of 1 + 0.5 sin(2 pi x) from 1 is 0.5/pi
+    assert step == pytest.approx(0.5 / math.pi, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import benfold as bf
 from benfold.density import DensityError
 
-from _support import random_density
+from _support import _random_segment, random_density
 
 LN10 = math.log(10.0)
 
@@ -117,6 +117,71 @@ def test_delineated_interval():
     assert bf.uniform_density(2, 3).delineated_interval() == (2, 3)
 
 
+def test_custom_segment_must_be_vectorized():
+    with pytest.raises(DensityError):
+        bf.Segment(0.0, 1.0, lambda x: math.exp(x))  # scalar-only callable
+    with pytest.raises(DensityError):
+        bf.Segment(0.0, 1.0, lambda x: 1.0)  # ignores the array shape
+
+
+def test_segment_kind_and_params_are_validated():
+    with pytest.raises(DensityError):
+        bf.Segment(0.0, 1.0, None, kind="spline", params=(1.0,))
+    with pytest.raises(DensityError):
+        bf.Segment(0.0, 1.0, None, kind="linear", params=(1.0,))
+    with pytest.raises(DensityError):
+        bf.Segment(0.0, 1.0, None, kind="const")  # custom params on a const kind
+    with pytest.raises(DensityError):
+        bf.Segment(0.0, 1.0, np.exp, kind="exp", params=(1.0, 1.0))
+
+
+def _custom_twin(seg):
+    """The same segment as a custom one, evaluated through its function."""
+    return bf.Segment(seg.lo, seg.hi, seg.fn, seg.monotonicity, seg.convexity)
+
+
+def test_closed_forms_match_callable_path_mass():
+    rng = np.random.default_rng(2718)
+    for _ in range(60):
+        lo = float(rng.uniform(-2.0, 2.0))
+        hi = lo + float(rng.uniform(0.05, 3.0))
+        seg = _random_segment(rng, lo, hi)
+        twin = _custom_twin(seg)
+        assert seg.kind in ("const", "linear", "exp") and twin.kind == "custom"
+        for _ in range(3):
+            a, b = np.sort(rng.uniform(lo, hi, 2))
+            assert seg.mass(a, b) == pytest.approx(twin.mass(a, b), abs=1e-12)
+
+
+def test_closed_forms_match_callable_path_step_density():
+    rng = np.random.default_rng(31415)
+    for _ in range(25):
+        f = random_density(rng)
+        twin = bf.PiecewiseDensity(tuple(_custom_twin(seg) for seg in f.segments))
+        closed = bf.bound_step_density(f)
+        numeric = bf.bound_step_density(twin)
+        assert "cell integrals: closed form" in closed.hypotheses_verified
+        assert "cell integrals: quadrature" in numeric.hypotheses_verified
+        assert closed.value == pytest.approx(numeric.value, abs=1e-10)
+
+
+def test_closed_forms_match_callable_path_scale_and_normalize():
+    # scale_density(normalized(raw), n) must evaluate to c*raw(x/n)/n for
+    # every kind, where c normalizes the raw segments
+    rng = np.random.default_rng(1618)
+    for _ in range(40):
+        lo = float(rng.uniform(-2.0, 2.0))
+        edges = lo + np.cumsum(rng.uniform(0.1, 1.5, 4))
+        raw = [_random_segment(rng, float(a), float(b)) for a, b in zip(edges, edges[1:])]
+        c = 1.0 / math.fsum(seg.mass() for seg in raw)
+        n = float(rng.choice([1.0, 3.0, 7.5, 1000.0]))
+        for segs in (raw, [_custom_twin(seg) for seg in raw]):
+            scaled = bf.scale_density(bf.normalized(segs), n)
+            for seg, got in zip(raw, scaled.segments):
+                xs = np.linspace(seg.lo * n, seg.hi * n, 33)[1:-1]
+                np.testing.assert_allclose(got(xs), c * seg(xs / n) / n, rtol=1e-13, atol=0)
+
+
 def test_segment_closed_form_matches_quadrature():
     from scipy.integrate import quad
 
@@ -132,7 +197,6 @@ def test_segment_closed_form_matches_quadrature():
 
 def test_fold_uniform_is_flat():
     folded = bf.fold_mod1(bf.uniform_density(0, 1))
-    assert folded.truncation_mass == 0.0
     ts = np.linspace(0, 0.999, 100)
     np.testing.assert_allclose(folded(ts), 1.0, atol=1e-14)
 
@@ -165,12 +229,22 @@ def test_fold_conserves_mass_random_suite():
         total, err = bf.integrate(
             folded, 0.0, 1.0, bf.QuadratureConfig(breakpoints=tuple(kinks))
         )
-        assert total == pytest.approx(1.0 - folded.truncation_mass, abs=1e-8)
+        assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def test_fold_rejects_bad_epsilon():
-    with pytest.raises(DensityError):
-        bf.fold_mod1(bf.uniform_density(0, 1), tail_epsilon=0.0)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=2000),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=2, max_size=40),
+)
+def test_fold_scalar_and_vector_agree_exactly(seed, n, ts):
+    # one accumulation order for every call shape: bisection re-evaluates
+    # scan points as scalars and must see the very same values
+    f = random_density(np.random.default_rng(seed))
+    folded = bf.fold_mod1(bf.scale_density(f, n))
+    vec = folded(np.array(ts))
+    assert [folded(t) for t in ts] == list(vec)
 
 
 # ---------------------------------------------------------------------------

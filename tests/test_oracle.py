@@ -83,6 +83,8 @@ def test_bisect_root_simple():
     assert r == pytest.approx(math.sqrt(2.0), abs=1e-13)
     with pytest.raises(ValueError):
         bisect_root(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(bf.BisectionError):
+        bisect_root(lambda x: 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,14 @@ def test_delta_numeric_triangular_fold_is_uniform():
     # the symmetric unit triangle on [0, 2] folds to exactly flat
     r = bf.delta_numeric(bf.triangular_density(0, 1, 2), 1)
     assert r.value == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", (59, 500, 1000))
+def test_delta_numeric_triangular_fold_is_uniform_at_large_n(n):
+    # the fold is flat up to roundoff, so the scan meets sign changes of size
+    # 1e-16 that bisection must see with the same values
+    r = bf.delta_numeric(bf.triangular_density(0, 1, 2), n)
+    assert r.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_numeric_piecewise_with_kinks():
