@@ -33,6 +33,9 @@ _INT_SNAP_TOL = 1e-12
 _ZERO_MASS = 1e-15
 # a density's total mass must be 1 within this
 _TOTAL_MASS_TOL = 1e-10
+# block shape of the translate sum of a custom segment (points x translates)
+_FOLD_BLOCK_POINTS = 64
+_FOLD_BLOCK_TRANSLATES = 1024
 
 
 class DensityError(ValueError):
@@ -52,6 +55,26 @@ def _brentq(fn, a: float, b: float) -> float:
     from scipy.optimize import brentq
 
     return float(brentq(fn, a, b, xtol=1e-14, rtol=1e-15))
+
+
+def _blocked_translate_sum(seg, t, k0, k1):
+    # Points and translates go in fixed-size blocks, translate blocks on a
+    # fixed grid of k, each row summed whole and the block sums added in
+    # order of k: a point's summation order never depends on the call.
+    out = np.zeros(t.shape, dtype=float)
+    for p in range(0, t.size, _FOLD_BLOCK_POINTS):
+        tp = t[p:p + _FOLD_BLOCK_POINTS, None]
+        kp0 = k0[p:p + _FOLD_BLOCK_POINTS, None]
+        kp1 = k1[p:p + _FOLD_BLOCK_POINTS, None]
+        first = math.floor(kp0.min() / _FOLD_BLOCK_TRANSLATES) * _FOLD_BLOCK_TRANSLATES
+        for start in range(first, int(kp1.max()), _FOLD_BLOCK_TRANSLATES):
+            ks = np.arange(start, start + _FOLD_BLOCK_TRANSLATES, dtype=float)
+            owned = (ks >= kp0) & (ks < kp1)
+            if owned.any():
+                vals = np.zeros(owned.shape, dtype=float)
+                vals[owned] = seg((tp + ks)[owned])
+                out[p:p + _FOLD_BLOCK_POINTS] += vals.sum(axis=1)
+    return out
 
 
 def _snap_int(x: float) -> int | None:
@@ -219,6 +242,25 @@ class Segment:
                 )
         return roots
 
+    def translate_sum(self, t, k0, k1):
+        """Sum of self(t + k) over the integers k0 <= k < k1, per point.
+
+        t, k0 and k1 are 1-d arrays of one length (k0, k1 integer-valued).
+        Built-in kinds sum the series in closed form: m equal terms, an
+        arithmetic series, a geometric series.  A custom segment sums its
+        translates in fixed blocks, so memory does not grow with k1 - k0.
+        """
+        if self.kind == "custom":
+            return _blocked_translate_sum(self, t, k0, k1)
+        m = np.maximum(k1 - k0, 0.0)
+        p = self.params
+        if self.kind == "const":
+            return m * p[0]
+        if self.kind == "linear":
+            return m * (p[0] * (t + 0.5 * (k0 + k1 - 1.0)) + p[1])
+        amp, r = p
+        return (amp / math.expm1(r)) * np.exp(r * (t + k0)) * np.expm1(r * m)
+
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""
         powers = _PARAM_MAPS[self.kind][0]
@@ -293,9 +335,14 @@ class PiecewiseDensity:
 
 @dataclass(frozen=True)
 class FoldedDensity:
-    """Density of X mod 1 on [0, 1), as a sum of integer translates."""
+    """Density of X mod 1 on [0, 1), as a sum of integer translates.
+
+    route names how fn sums them: "closed-form", "translate-sum" (custom
+    segments), both joined by "+", or "callable" for a fold given as fn.
+    """
 
     fn: Callable
+    route: str = "callable"
 
     def __call__(self, t):
         return self.fn(t)
@@ -304,38 +351,35 @@ class FoldedDensity:
 def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     """Fold f modulo 1: eval(t) = sum over integers k of f(t + k).
 
-    Every segment has finite endpoints, so the translate set is enumerated
-    exactly and nothing is truncated.  The translates of each point are
-    summed along one contiguous row, in the same order for every call
-    shape, so a scalar call returns bit for bit what the same point gets
-    inside a vector call.
+    Every segment has finite endpoints, so the translates are enumerated
+    exactly and nothing is truncated.  A point t owns the translates k of a
+    segment with lo <= t + k < hi (<= hi on the last segment) and k in
+    [floor(lo), ceil(hi)), a contiguous range that Segment.translate_sum
+    sums in closed form per kind, so a call costs O(segments) per point
+    whatever the scale of f.  Each point's value is computed in the same
+    order for every call shape, so a scalar call returns bit for bit what
+    the same point gets inside a vector call.
     """
     pieces = []
     last = len(f.segments) - 1
     for i, seg in enumerate(f.segments):
         k_lo = _floor_snapped(seg.lo)
-        k_hi = _ceil_snapped(seg.hi)
-        ks = np.arange(k_lo, max(k_hi, k_lo + 1), dtype=float)
-        pieces.append((seg, ks, i == last))
+        k_end = max(_ceil_snapped(seg.hi), k_lo + 1)
+        pieces.append((seg, float(k_lo), float(k_end), i == last))
 
     def fn(t):
         ts = np.asarray(t, dtype=float)
         scalar = ts.ndim == 0
-        tt = np.atleast_1d(ts)
+        tt = ts.reshape(-1)
         out = np.zeros(tt.shape, dtype=float)
-        for seg, ks, is_last in pieces:
-            pts = tt[:, None] + ks[None, :]
-            if is_last:
-                m = (pts >= seg.lo) & (pts <= seg.hi)
-            else:
-                m = (pts >= seg.lo) & (pts < seg.hi)
-            if m.any():
-                vals = np.zeros(pts.shape, dtype=float)
-                vals[m] = seg(pts[m])
-                out += vals.sum(axis=1)
-        return float(out[0]) if scalar else out
+        for seg, k_lo, k_end, closed_top in pieces:
+            k0 = np.maximum(np.ceil(seg.lo - tt), k_lo)
+            k1 = np.floor(seg.hi - tt) + 1.0 if closed_top else np.ceil(seg.hi - tt)
+            out += seg.translate_sum(tt, k0, np.minimum(k1, k_end))
+        return float(out[0]) if scalar else out.reshape(ts.shape)
 
-    return FoldedDensity(fn=fn)
+    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
+    return FoldedDensity(fn=fn, route="+".join(sorted(routes)))
 
 
 def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:

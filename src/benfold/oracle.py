@@ -34,6 +34,9 @@ _EDGE_INSET = 1e-12
 _MAX_INTERVALS = 1 << 20
 # halvings of the bracket in bisect_root
 _BISECT_STEPS = 80
+# scan samples closer to the level than this share of the values' magnitude
+# are taken as roundoff, not as a side of a crossing
+_ROUNDOFF_FLOOR = 1e-12
 
 
 class BisectionError(ValueError):
@@ -202,6 +205,8 @@ def bisect_root(fn, a: float, b: float) -> float:
         raise BisectionError("bisection needs a sign change")
     for _ in range(_BISECT_STEPS):
         m = 0.5 * (a + b)
+        if not a < m < b:
+            break  # the bracket is two adjacent floats; more steps change nothing
         fm = float(fn(m))
         if fm == 0.0:
             return m
@@ -210,25 +215,6 @@ def bisect_root(fn, a: float, b: float) -> float:
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-def _find_crossings(fn, a: float, b: float, scan_points: int = 65):
-    """Roots of fn between a and b, located by grid scan plus bisection."""
-    span = b - a
-    if span <= 0:
-        return []
-    xs = np.linspace(a + _EDGE_INSET * span, b - _EDGE_INSET * span, scan_points)
-    ys = _make_batch_eval(fn)(xs)
-    roots = []
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == 0.0:
-            roots.append(float(xs[i]))
-        elif y0 * y1 < 0:
-            roots.append(bisect_root(fn, float(xs[i]), float(xs[i + 1])))
-    if ys[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
 
 
 def _fold_kinks(f: PiecewiseDensity):
@@ -242,20 +228,38 @@ def _fold_kinks(f: PiecewiseDensity):
     return sorted(kinks)
 
 
-def _abs_deviation_from_one(folded, pieces, abs_tol, max_depth):
-    """Integral of |fn - 1| over [0, 1] split at pieces, signs resolved per piece."""
+def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
+    """Integral of |fn - level| from pts[0] to pts[-1], signs resolved per piece.
 
-    def g(t):
-        return np.asarray(folded(t), dtype=float) - 1.0
+    Each interval between consecutive pts is scanned on a grid, and every
+    sign change of fn - level between consecutive samples is refined by
+    bisection into a further breakpoint.  Samples within a roundoff floor
+    of level (_ROUNDOFF_FLOOR times the values' magnitude) are skipped, so
+    a function equal to level up to roundoff has no crossings; the area the
+    floor can hide, floor times width, goes into the error estimate.
 
-    bounds = [0.0]
-    for p, q in zip(pieces, pieces[1:]):
-        bounds.extend(_find_crossings(g, p, q))
-        bounds.append(q)
-    bounds = sorted(set(bounds))
-    value = 0.0
+    Returns (value, error_estimate, number of sign-resolved pieces).
+    """
+
+    def g(x):
+        return np.asarray(fn(x), dtype=float) - level
+
+    evalg = _make_batch_eval(g)
+    bounds = [pts[0]]
     err = 0.0
-    share = abs_tol / max(1, len(bounds) - 1)
+    for p, q in zip(pts, pts[1:]):
+        inset = _EDGE_INSET * (q - p)
+        xs = np.linspace(p + inset, q - inset, scan_points)
+        ys = evalg(xs)
+        floor = _ROUNDOFF_FLOOR * (abs(level) + float(np.max(np.abs(ys))))
+        above = np.abs(ys) > floor
+        xs, neg = xs[above], ys[above] < 0
+        for i in np.flatnonzero(neg[:-1] != neg[1:]):
+            bounds.append(bisect_root(g, float(xs[i]), float(xs[i + 1])))
+        bounds.append(q)
+        err += floor * (q - p)
+    value = 0.0
+    share = abs_tol / (len(bounds) - 1)
     for p, q in zip(bounds, bounds[1:]):
         v, e = adaptive_simpson(g, p, q, share, max_depth)
         value += abs(v)
@@ -279,8 +283,8 @@ def delta_numeric(
     folded = fold_mod1(scaled)
     kinks = _fold_kinks(scaled)
     pieces = sorted({0.0, 1.0, *kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
-    value, err, n_pieces = _abs_deviation_from_one(
-        folded, pieces, cfg.abs_tol, cfg.max_depth
+    value, err, n_pieces = _abs_deviation(
+        folded, 1.0, pieces, cfg.abs_tol, cfg.max_depth, scan_points=65
     )
     return OracleResult(
         value=0.5 * value,
@@ -288,7 +292,7 @@ def delta_numeric(
         method="quadrature_L1",
         detail=(
             f"adaptive Simpson, n={n}, {n_pieces} sign-resolved pieces, "
-            f"{len(kinks)} fold kinks, abs_tol={cfg.abs_tol:g}"
+            f"{len(kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, fold {folded.route}"
         ),
     )
 
@@ -321,7 +325,10 @@ def delta_crossing_unimodal(
                 value=0.0,
                 error_estimate=dev,
                 method="crossing_point",
-                detail="no crossing of 1; density is uniform within grid tolerance",
+                detail=(
+                    "no crossing of 1; density is uniform within grid tolerance, "
+                    f"fold {folded.route}"
+                ),
             )
         raise ValueError(
             "folded density never crosses 1 but is not uniform; "
@@ -333,7 +340,7 @@ def delta_crossing_unimodal(
         value=abs(t0 - cdf_t0),
         error_estimate=err,
         method="crossing_point",
-        detail=f"t0={t0:.15f}, cdf(t0)={cdf_t0:.15f}",
+        detail=f"t0={t0:.15f}, cdf(t0)={cdf_t0:.15f}, fold {folded.route}",
     )
 
 
@@ -449,24 +456,11 @@ def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = No
     cfg = cfg or QuadratureConfig()
     total, err_mean = integrate(fn, a, b, cfg)
     y = total / (b - a)
-
-    def g(x):
-        return np.asarray(fn(x), dtype=float) - y
-
     pts = sorted({a, b, *(p for p in cfg.breakpoints if a < p < b)})
-    bounds = [a]
-    for p, q in zip(pts, pts[1:]):
-        bounds.extend(_find_crossings(g, p, q, scan_points=129))
-        bounds.append(q)
-    bounds = sorted(set(bounds))
-    residual = 0.0
-    err = err_mean
-    share = cfg.abs_tol / max(1, len(bounds) - 1)
-    for p, q in zip(bounds, bounds[1:]):
-        v, e = adaptive_simpson(g, p, q, share, cfg.max_depth)
-        residual += abs(v)
-        err += e
-    return residual, y, err
+    residual, err, _ = _abs_deviation(
+        fn, y, pts, cfg.abs_tol, cfg.max_depth, scan_points=129
+    )
+    return residual, y, err_mean + err
 
 
 def check_averaging_inequality(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from benfold import const_segment, exp_segment, linear_segment, normalized
+from benfold import PiecewiseDensity, Segment, const_segment, exp_segment, linear_segment, normalized
 
 
 def random_density(rng, max_cells=5, allow_gaps=True):
@@ -34,6 +34,16 @@ def random_density(rng, max_cells=5, allow_gaps=True):
     if not segments:
         segments.append(const_segment(s_lo, s_hi, 1.0))
     return normalized(segments)
+
+
+def custom_twin(seg):
+    """The same segment as a custom one, evaluated through its function."""
+    return Segment(seg.lo, seg.hi, seg.fn, seg.monotonicity, seg.convexity)
+
+
+def custom_twin_density(f):
+    """f rebuilt from custom twins: no closed form anywhere, only callables."""
+    return PiecewiseDensity(tuple(custom_twin(seg) for seg in f.segments))
 
 
 def _random_segment(rng, lo, hi):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import benfold as bf
 import benfold.cli as cli
 from benfold.bounds import VacuousBoundError
 from benfold.density import DensityError
@@ -237,6 +238,14 @@ def test_oracle_triangular_uniform_fold_exits_0(capsys, n):
     code, out, _ = run_cli(capsys, "oracle", "--density", "triangular 0 1 2", "--n", n)
     assert code == 0
     assert "value=0.0000000" in out
+
+
+def test_oracle_at_one_million(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--density", "uniform-log b=10", "--n", "1000000")
+    assert code == 0
+    want = bf.delta_numeric(bf.uniform_log_density(10), 10**6).value
+    assert f"unrounded: {want!r}\n" in out
+    assert "fold closed-form" in out
 
 
 def test_oracle_bisection_failure_exits_3(capsys, monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 import benfold as bf
 from benfold.density import DensityError
 
-from _support import _random_segment, random_density
+from _support import _random_segment, custom_twin, custom_twin_density, random_density
 
 LN10 = math.log(10.0)
 
@@ -135,18 +139,13 @@ def test_segment_kind_and_params_are_validated():
         bf.Segment(0.0, 1.0, np.exp, kind="exp", params=(1.0, 1.0))
 
 
-def _custom_twin(seg):
-    """The same segment as a custom one, evaluated through its function."""
-    return bf.Segment(seg.lo, seg.hi, seg.fn, seg.monotonicity, seg.convexity)
-
-
 def test_closed_forms_match_callable_path_mass():
     rng = np.random.default_rng(2718)
     for _ in range(60):
         lo = float(rng.uniform(-2.0, 2.0))
         hi = lo + float(rng.uniform(0.05, 3.0))
         seg = _random_segment(rng, lo, hi)
-        twin = _custom_twin(seg)
+        twin = custom_twin(seg)
         assert seg.kind in ("const", "linear", "exp") and twin.kind == "custom"
         for _ in range(3):
             a, b = np.sort(rng.uniform(lo, hi, 2))
@@ -157,7 +156,7 @@ def test_closed_forms_match_callable_path_step_density():
     rng = np.random.default_rng(31415)
     for _ in range(25):
         f = random_density(rng)
-        twin = bf.PiecewiseDensity(tuple(_custom_twin(seg) for seg in f.segments))
+        twin = custom_twin_density(f)
         closed = bf.bound_step_density(f)
         numeric = bf.bound_step_density(twin)
         assert "cell integrals: closed form" in closed.hypotheses_verified
@@ -175,7 +174,7 @@ def test_closed_forms_match_callable_path_scale_and_normalize():
         raw = [_random_segment(rng, float(a), float(b)) for a, b in zip(edges, edges[1:])]
         c = 1.0 / math.fsum(seg.mass() for seg in raw)
         n = float(rng.choice([1.0, 3.0, 7.5, 1000.0]))
-        for segs in (raw, [_custom_twin(seg) for seg in raw]):
+        for segs in (raw, [custom_twin(seg) for seg in raw]):
             scaled = bf.scale_density(bf.normalized(segs), n)
             for seg, got in zip(raw, scaled.segments):
                 xs = np.linspace(seg.lo * n, seg.hi * n, 33)[1:-1]
@@ -245,6 +244,86 @@ def test_fold_scalar_and_vector_agree_exactly(seed, n, ts):
     folded = bf.fold_mod1(bf.scale_density(f, n))
     vec = folded(np.array(ts))
     assert [folded(t) for t in ts] == list(vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=10_000),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=40),
+)
+def test_fold_closed_form_matches_translate_sum(seed, n, ts):
+    # the per-kind closed forms against the translate sum of custom twins
+    f = random_density(np.random.default_rng(seed))
+    closed = bf.fold_mod1(bf.scale_density(f, n))
+    summed = bf.fold_mod1(bf.scale_density(custom_twin_density(f), n))
+    assert (closed.route, summed.route) == ("closed-form", "translate-sum")
+    np.testing.assert_allclose(closed(np.array(ts)), summed(np.array(ts)), rtol=1e-12, atol=1e-12)
+
+
+def test_custom_fold_scalar_and_vector_agree_exactly():
+    # more points and translates than one block holds: block sums still add
+    # up in the same order for a point whatever the call shape
+    f = bf.scale_density(custom_twin_density(bf.triangular_density(0.0, 0.7, 1.3)), 3001)
+    folded = bf.fold_mod1(f)
+    ts = np.random.default_rng(5).random(150)
+    assert [folded(t) for t in ts] == list(folded(ts))
+
+
+def test_translate_sum_per_kind_matches_explicit_sum():
+    t = np.array([0.0, 0.25, 0.9, 0.5])
+    k0 = np.array([-3.0, 0.0, 2.0, 4.0])
+    k1 = np.array([4.0, 1.0, 2.0, 2.0])  # empty and reversed ranges sum to 0
+    for seg in (
+        bf.const_segment(-3.0, 5.0, 0.7),
+        bf.linear_segment(-3.0, 5.0, 0.3, 1.2),
+        bf.exp_segment(-3.0, 5.0, 0.4, -0.8),
+    ):
+        want = [sum(float(seg(ti + k)) for k in range(int(a), int(b))) for ti, a, b in zip(t, k0, k1)]
+        for s in (seg, custom_twin(seg)):
+            np.testing.assert_allclose(s.translate_sum(t, k0, k1), want, rtol=1e-13, atol=0)
+
+
+def test_fold_route_names_the_summation():
+    f = bf.uniform_log_density(10)
+    mixed = bf.PiecewiseDensity(
+        (bf.const_segment(0.0, 0.5, 0.5), custom_twin(bf.const_segment(0.5, 1.0, 1.5)))
+    )
+    assert bf.fold_mod1(f).route == "closed-form"
+    assert bf.fold_mod1(custom_twin_density(f)).route == "translate-sum"
+    assert bf.fold_mod1(mixed).route == "closed-form+translate-sum"
+
+
+def test_custom_fold_memory_does_not_grow_with_n():
+    # 256 points x 1e5 translates would be 200 MB as one array; the custom
+    # translate sum streams fixed blocks instead.  The peak RSS is read in a
+    # small launcher process: Linux carries a process's peak RSS over fork
+    # and exec, so a direct child of the test runner reports the runner's.
+    code = (
+        "import numpy as np\n"
+        "import benfold as bf\n"
+        "from _support import custom_twin_density\n"
+        "f = bf.uniform_log_density(10)\n"
+        "ts = np.linspace(0.0, 1.0, 256, endpoint=False)\n"
+        "got = bf.fold_mod1(bf.scale_density(custom_twin_density(f), 10**5))(ts)\n"
+        "want = bf.fold_mod1(bf.scale_density(f, 10**5))(ts)\n"
+        "print('DIFF', float(np.max(np.abs(got - want))), flush=True)\n"
+    )
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode\n"
+        "print('MAXRSS_MB', resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n"
+        "sys.exit(code)\n"
+    )
+    tests_dir = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = dict(line.split() for line in proc.stdout.splitlines())
+    assert float(out["DIFF"]) <= 1e-12
+    assert float(out["MAXRSS_MB"]) < 150.0
 
 
 # ---------------------------------------------------------------------------

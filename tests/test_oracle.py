@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import benfold as bf
+import benfold.oracle as oracle
 from benfold.oracle import (
     QuadratureConfig,
     adaptive_simpson,
@@ -11,6 +13,8 @@ from benfold.oracle import (
     bisect_root,
     inverse_cdf_sampler,
 )
+
+from _support import custom_twin_density
 
 LN10 = math.log(10.0)
 
@@ -87,6 +91,20 @@ def test_bisect_root_simple():
         bisect_root(lambda x: 1.0, 0.0, 1.0)
 
 
+def test_bisect_root_stops_at_adjacent_floats():
+    # once the bracket is two adjacent floats the midpoint cannot move, so
+    # further halvings would only re-evaluate an endpoint
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    r = bisect_root(fn, 0.0, 2.0)
+    assert abs(r - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    assert len(calls) < 60
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle for the fold distance
 # ---------------------------------------------------------------------------
@@ -127,6 +145,30 @@ def test_delta_numeric_triangular_fold_is_uniform_at_large_n(n):
     # 1e-16 that bisection must see with the same values
     r = bf.delta_numeric(bf.triangular_density(0, 1, 2), n)
     assert r.value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 10, 59, 100, 500, 1000))
+def test_delta_numeric_flat_fold_has_one_piece(n):
+    # roundoff-size sign flips of an exactly flat fold are not crossings
+    r = bf.delta_numeric(bf.triangular_density(0, 1, 2), n)
+    assert int(re.search(r"(\d+) sign-resolved pieces", r.detail).group(1)) == 1
+    assert r.value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("b", (2.0, 10.0))
+def test_delta_numeric_at_one_million(b):
+    r = bf.delta_numeric(bf.uniform_log_density(b), 10**6)
+    assert r.value == pytest.approx(bf.exact_delta_uniform(b, 10**6).value, abs=1e-8)
+
+
+def test_delta_numeric_detail_names_fold_route():
+    f = bf.uniform_log_density(10)
+    closed = bf.delta_numeric(f, 7)
+    summed = bf.delta_numeric(custom_twin_density(f), 7)
+    assert closed.detail.endswith("fold closed-form")
+    assert summed.detail.endswith("fold translate-sum")
+    assert "sign-resolved pieces" in summed.detail
+    assert closed.value == pytest.approx(summed.value, abs=1e-12)
 
 
 def test_delta_numeric_piecewise_with_kinks():
@@ -276,6 +318,22 @@ def test_averaging_two_valued_equality_witness():
     assert y == pytest.approx(0.5 * (c + d), abs=1e-13)
     assert residual == pytest.approx((b - a) * (d - c) / 2.0, abs=1e-12)
     assert bf.check_averaging_inequality(two_valued, a, b, c, d, False, cfg)
+
+
+def test_averaging_roundoff_flips_are_not_crossings(monkeypatch):
+    # sin^2 + cos^2 is 1 up to roundoff and flips sign about its mean from
+    # sample to sample; the same floor as in delta_numeric applies
+    calls = []
+    monkeypatch.setattr(oracle, "bisect_root", lambda *args: calls.append(args))
+
+    def one(x):
+        x = 3.0 * np.asarray(x, dtype=float)
+        return np.sin(x) ** 2 + np.cos(x) ** 2
+
+    residual, y, err = averaging_residual(one, 0.0, 1.0)
+    assert y == pytest.approx(1.0, abs=1e-15)
+    assert residual <= 1e-14
+    assert calls == []
 
 
 def test_averaging_straight_line_equality_witness():
