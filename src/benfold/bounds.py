@@ -180,18 +180,14 @@ def bound_convex_eighth(
 ) -> BoundReport:
     """Convexity-boosted bound (sup f - inf f)/8 over the interval (n_lo, m_hi).
 
-    Requires f monotone and convex on the whole interval.  Certification
-    comes from segment flags plus a grid spot check; assume_hypotheses skips
-    the flag requirement (recorded as caller-asserted) but hard
+    The eighth constant treats straight lines as the worst monotone convex
+    shape, which holds when one affine or exponential segment covers the
+    whole interval; a ramp that idles at zero before rising, or a power-law
+    profile like x**1.5, exceeds it.  So only that case is certified, from
+    its flags plus a grid spot check.  Anything else raises DensityError,
+    or with assume_hypotheses is reported as caller-asserted; hard
     contradictions such as opposing monotone flags, concave flags, interior
     gaps, or interior jumps are rejected regardless.
-
-    Validity caveat: the eighth constant presumes straight lines are the
-    worst monotone convex shape, which is true for affine and exponential
-    densities (the cases this library constructs) but not universally; a
-    convex ramp that idles at zero before rising, or a power-law profile
-    like x**1.5, can genuinely exceed this bound.  The distance oracle
-    exposes such cases; see the counterexample tests.
     """
     auto_n, auto_m = f.delineated_interval()
     n_lo = float(auto_n) if n_lo is None else float(n_lo)
@@ -226,26 +222,30 @@ def bound_convex_eighth(
 
     flags_certify = directions <= {"increasing"} or directions <= {"decreasing"} or not directions
     flags_certify = flags_certify and all(seg.convexity == "convex" for seg in f.segments)
-    if not flags_certify and not assume_hypotheses:
+    certified = (
+        flags_certify
+        and len(f.segments) == 1
+        and f.segments[0].kind != "custom"
+        and s_lo <= n_lo + 1e-12
+        and s_hi >= m_hi - 1e-12
+    )
+    if not certified and not assume_hypotheses:
         raise DensityError(
-            "segment flags cannot certify monotone+convex; "
-            "pass assume_hypotheses=True to assert them"
+            "certified only for one affine or exponential segment with monotone and "
+            f"convex flags covering ({n_lo:g}, {m_hi:g}); "
+            "pass assume_hypotheses=True to assert the hypotheses"
         )
-    hyp = []
-    if flags_certify:
-        grid_ok = _grid_monotone_convex(f, s_lo, s_hi)
-        if not grid_ok:
+    label = "caller-asserted"
+    if certified:
+        if not _grid_monotone_convex(f, s_lo, s_hi):
             raise DensityError("grid spot check contradicts the monotone+convex flags")
-        hyp.append("monotone: certified (segment flags, grid-checked)")
-        hyp.append("convex: certified (segment flags, grid-checked)")
-    else:
-        hyp.append("monotone: caller-asserted")
-        hyp.append("convex: caller-asserted")
+        label = "certified (segment flags, grid-checked)"
+    hyp = (f"monotone: {label}", f"convex: {label}", f"one affine or exponential segment: {label}")
 
     flat = [v for pair in vals for v in pair]
     sup = max(flat)
     inf = min(flat)
-    return BoundReport("convex_eighth", (sup - inf) / 8.0, tuple(hyp))
+    return BoundReport("convex_eighth", (sup - inf) / 8.0, hyp)
 
 
 def _grid_monotone_convex(f: PiecewiseDensity, s_lo: float, s_hi: float) -> bool:

@@ -1,7 +1,7 @@
 """Independent numerical ground truth for the distance to uniform.
 
 Everything here is self-contained on purpose: the quadrature is a
-hand-rolled adaptive Simpson scheme and roots come from plain bisection, so
+hand-rolled adaptive Simpson scheme and roots come from bisection, so
 the oracle shares no code path with the closed forms and library-backed
 integrals it is used to check.
 
@@ -32,8 +32,11 @@ from .density import (
 _EDGE_INSET = 1e-12
 # adaptive Simpson gives up when its active interval set would outgrow this
 _MAX_INTERVALS = 1 << 20
-# halvings of the bracket in bisect_root
+# rounds of bracket refinement in bisect_root
 _BISECT_STEPS = 80
+# interior points per bisect_root round on a closed-form fold, where one call
+# on this many points costs about as much as a call on one
+_SECTION_POINTS = 255
 # scan samples closer to the level than this share of the values' magnitude
 # are taken as roundoff, not as a side of a crossing
 _ROUNDOFF_FLOOR = 1e-12
@@ -104,35 +107,41 @@ def adaptive_simpson(
     b: float,
     abs_tol: float = 1e-10,
     max_depth: int = 60,
+    breakpoints=(),
 ):
     """Integrate fn over [a, b] with a level-synchronous adaptive Simpson rule.
 
-    All intervals pending at a given depth are refined with a single batched
-    evaluation, so vectorized integrands run at numpy speed.  Accepted
-    intervals use Richardson extrapolation of the two Simpson estimates.
-    Endpoint samples are taken a hair inside the interval so breakpoints can
-    sit exactly on jump discontinuities.
+    [a, b] is split at the breakpoints inside it, and every piece starts
+    with the tolerance abs_tol / pieces.  All intervals pending at a given
+    depth, in every piece, are refined with a single batched evaluation, so
+    vectorized integrands run at numpy speed however many pieces there are.
+    Accepted intervals use Richardson extrapolation of the two Simpson
+    estimates.  Endpoint samples are taken a hair inside each interval so
+    breakpoints can sit exactly on jump discontinuities.
 
-    Returns (value, error_estimate).  Raises QuadratureError if intervals hit
-    max_depth with more unresolved error than abs_tol, or if an unattainable
-    tolerance makes the active set outgrow 2**20 intervals.
+    Returns (value, error_estimate).  Raises QuadratureError if a piece hits
+    max_depth with more unresolved error than its tolerance, or if an
+    unattainable tolerance makes the active set outgrow 2**20 intervals.
     """
     if b <= a:
         return 0.0, 0.0
     evalf = _make_batch_eval(fn)
-    eta = _EDGE_INSET * (b - a)
-    mid = 0.5 * (a + b)
-    f3 = evalf(np.array([a + eta, mid, b - eta]))
-    lo = np.array([a])
-    hi = np.array([b])
-    flo = f3[:1]
-    fmid = f3[1:2]
-    fhi = f3[2:]
+    edges = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}))
+    lo = edges[:-1]
+    hi = edges[1:]
+    n_pieces = len(lo)
+    share = abs_tol / n_pieces
+    eta = _EDGE_INSET * (hi - lo)
+    f3 = evalf(np.concatenate([lo + eta, 0.5 * (lo + hi), hi - eta]))
+    flo = f3[:n_pieces]
+    fmid = f3[n_pieces : 2 * n_pieces]
+    fhi = f3[2 * n_pieces :]
     s = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    tol = np.array([abs_tol])
+    tol = np.full(n_pieces, share)
+    piece = np.arange(n_pieces)
     total = 0.0
     err_total = 0.0
-    unresolved = 0.0
+    unresolved = np.zeros(n_pieces)
     for depth in range(max_depth + 1):
         mids = 0.5 * (lo + hi)
         lmid = 0.5 * (lo + mids)
@@ -145,8 +154,8 @@ def adaptive_simpson(
         err = (s_left + s_right - s) / 15.0
         done = np.abs(err) <= tol
         if depth == max_depth:
+            unresolved += np.bincount(piece[~done], np.abs(err[~done]), n_pieces)
             done = np.ones_like(done)
-            unresolved += float(np.abs(err[np.abs(err) > tol]).sum())
         if done.any():
             total += float((s_left[done] + s_right[done] + err[done]).sum())
             err_total += float(np.abs(err[done]).sum())
@@ -168,33 +177,34 @@ def adaptive_simpson(
         fmid = np.concatenate([flm[keep], frm[keep]])
         s = np.concatenate([s_left[keep], s_right[keep]])
         tol = np.concatenate([tol[keep] / 2.0, tol[keep] / 2.0])
-    if unresolved > abs_tol:
+        piece = np.concatenate([piece[keep], piece[keep]])
+    if np.any(unresolved > share):
         raise QuadratureError(
             f"quadrature did not converge within depth {max_depth}",
             partial_value=total,
-            error_estimate=err_total + unresolved,
+            error_estimate=err_total + float(unresolved.sum()),
         )
-    return total, err_total + unresolved
+    return total, err_total + float(unresolved.sum())
 
 
 def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
     """Adaptive Simpson over [a, b] split at the config's forced breakpoints."""
     cfg = cfg or QuadratureConfig()
-    if b <= a:
-        return 0.0, 0.0
-    pts = sorted({a, b, *(p for p in cfg.breakpoints if a < p < b)})
-    total = 0.0
-    err = 0.0
-    share = cfg.abs_tol / (len(pts) - 1)
-    for p, q in zip(pts, pts[1:]):
-        v, e = adaptive_simpson(fn, p, q, share, cfg.max_depth)
-        total += v
-        err += e
-    return total, err
+    return adaptive_simpson(fn, a, b, cfg.abs_tol, cfg.max_depth, cfg.breakpoints)
 
 
-def bisect_root(fn, a: float, b: float) -> float:
-    """Plain bisection for a sign change of fn on [a, b]."""
+def bisect_root(fn, a: float, b: float, points: int = 1) -> float:
+    """Sectioned bisection for a sign change of fn on [a, b].
+
+    Each round evaluates fn at `points` equally spaced interior points of
+    the bracket in one call and keeps the first sub-bracket with a sign
+    change, until no representable interior point is left.  points=1 is
+    plain bisection on floats, so a scalar-only fn works and a round costs
+    no array work; more points suit an fn whose cost barely grows with the
+    number of points it is given.
+    """
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points!r}")
     fa = float(fn(a))
     fb = float(fn(b))
     if fa == 0.0:
@@ -203,17 +213,31 @@ def bisect_root(fn, a: float, b: float) -> float:
         return b
     if fa * fb > 0:
         raise BisectionError("bisection needs a sign change")
+    w = np.arange(1, points + 1) / (points + 1)
     for _ in range(_BISECT_STEPS):
-        m = 0.5 * (a + b)
-        if not a < m < b:
-            break  # the bracket is two adjacent floats; more steps change nothing
-        fm = float(fn(m))
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b = m
+        if points == 1:
+            m = 0.5 * (a + b)
+            if not a < m < b:
+                break  # the bracket is two adjacent floats; more rounds change nothing
+            xs, ys = [m], [float(fn(m))]
+            flips = [0] if fa * ys[0] <= 0.0 else []
         else:
-            a, fa = m, fm
+            # a + (b - a) * w rounds monotonically in w, so xs stays sorted
+            xs = a + (b - a) * w
+            xs = xs[(a < xs) & (xs < b)]
+            if not xs.size:
+                break
+            ys = np.asarray(fn(xs), dtype=float)
+            flips = np.flatnonzero(fa * ys <= 0.0)
+        if not len(flips):
+            a, fa = float(xs[-1]), float(ys[-1])
+            continue
+        i = flips[0]
+        if ys[i] == 0.0:
+            return float(xs[i])
+        b = float(xs[i])
+        if i:
+            a, fa = float(xs[i - 1]), float(ys[i - 1])
     return 0.5 * (a + b)
 
 
@@ -228,15 +252,22 @@ def _fold_kinks(f: PiecewiseDensity):
     return sorted(kinks)
 
 
-def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
+def _section_points(folded: FoldedDensity) -> int:
+    """Points per bisect_root round: many only where a call's cost is flat in them."""
+    return _SECTION_POINTS if folded.route == "closed-form" else 1
+
+
+def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points, section_points=1):
     """Integral of |fn - level| from pts[0] to pts[-1], signs resolved per piece.
 
     Each interval between consecutive pts is scanned on a grid, and every
     sign change of fn - level between consecutive samples is refined by
-    bisection into a further breakpoint.  Samples within a roundoff floor
-    of level (_ROUNDOFF_FLOOR times the values' magnitude) are skipped, so
-    a function equal to level up to roundoff has no crossings; the area the
-    floor can hide, floor times width, goes into the error estimate.
+    bisect_root (with section_points per round) into a further breakpoint.
+    Samples within a roundoff floor of level (_ROUNDOFF_FLOOR times the
+    values' magnitude) are skipped, so a function equal to level up to
+    roundoff has no crossings; the area the floor can hide, floor times
+    width, goes into the error estimate.  |fn - level| is then integrated
+    over all sign-resolved pieces in one adaptive_simpson run.
 
     Returns (value, error_estimate, number of sign-resolved pieces).
     """
@@ -255,16 +286,15 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
         above = np.abs(ys) > floor
         xs, neg = xs[above], ys[above] < 0
         for i in np.flatnonzero(neg[:-1] != neg[1:]):
-            bounds.append(bisect_root(g, float(xs[i]), float(xs[i + 1])))
+            bounds.append(bisect_root(g, float(xs[i]), float(xs[i + 1]), section_points))
         bounds.append(q)
         err += floor * (q - p)
-    value = 0.0
-    share = abs_tol / (len(bounds) - 1)
-    for p, q in zip(bounds, bounds[1:]):
-        v, e = adaptive_simpson(g, p, q, share, max_depth)
-        value += abs(v)
-        err += e
-    return value, err, len(bounds) - 1
+    # inside a sign-resolved piece |g| differs from g only in sign, so the
+    # Simpson decisions are those of integrating g piece by piece
+    value, e = adaptive_simpson(
+        lambda x: np.abs(g(x)), bounds[0], bounds[-1], abs_tol, max_depth, bounds[1:-1]
+    )
+    return value, err + e, len(bounds) - 1
 
 
 def delta_numeric(
@@ -274,7 +304,7 @@ def delta_numeric(
 
     Folds the scaled density, forces breakpoints at the fold images of
     segment endpoints, splits again at crossings of 1 found by bisection,
-    and integrates |f_n - 1| piece by piece with signs resolved.
+    and integrates |f_n - 1| over the sign-resolved pieces in one Simpson run.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -284,7 +314,7 @@ def delta_numeric(
     kinks = _fold_kinks(scaled)
     pieces = sorted({0.0, 1.0, *kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
     value, err, n_pieces = _abs_deviation(
-        folded, 1.0, pieces, cfg.abs_tol, cfg.max_depth, scan_points=65
+        folded, 1.0, pieces, cfg.abs_tol, cfg.max_depth, 65, _section_points(folded)
     )
     return OracleResult(
         value=0.5 * value,
@@ -334,7 +364,7 @@ def delta_crossing_unimodal(
             "folded density never crosses 1 but is not uniform; "
             "strict monotonicity hypothesis looks violated"
         )
-    t0 = bisect_root(g, a, b)
+    t0 = bisect_root(g, a, b, _section_points(folded))
     cdf_t0, err = integrate(folded, 0.0, t0, cfg)
     return OracleResult(
         value=abs(t0 - cdf_t0),

@@ -158,11 +158,15 @@ def test_convex_eighth_interval_mismatch():
 
 def test_convex_eighth_is_not_universal_documented_counterexample():
     # the eighth constant treats straight lines as the worst monotone convex
-    # shape; a ramp that idles at zero before rising beats it.  This pins the
-    # method's validity limit: hypotheses hold, yet the true distance is 4/9
-    # while the bound claims 3/8.
+    # shape; a ramp that idles at zero before rising beats it: the true
+    # distance is 4/9 while (sup - inf)/8 is 3/8.  The ramp does not cover
+    # its integer interval (0, 1), so the bound refuses to certify it and
+    # labels the value it computes on request as caller-asserted.
     ramp = bf.PiecewiseDensity((bf.linear_segment(1.0 / 3.0, 1.0, 4.5, -1.5),))
-    report = bf.bound_convex_eighth(ramp)
+    with pytest.raises(DensityError, match="certified only"):
+        bf.bound_convex_eighth(ramp)
+    report = bf.bound_convex_eighth(ramp, assume_hypotheses=True)
+    assert all("caller-asserted" in h for h in report.hypotheses_verified)
     assert report.value == pytest.approx(3.0 / 8.0, rel=1e-14)
     truth = bf.delta_numeric(ramp, 1)
     assert truth.value == pytest.approx(4.0 / 9.0, abs=1e-10)

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import benfold as bf
 import benfold.oracle as oracle
@@ -14,7 +16,7 @@ from benfold.oracle import (
     inverse_cdf_sampler,
 )
 
-from _support import custom_twin_density
+from _support import custom_twin_density, random_density
 
 LN10 = math.log(10.0)
 
@@ -105,6 +107,189 @@ def test_bisect_root_stops_at_adjacent_floats():
     assert len(calls) < 60
 
 
+def _plain_bisection(fn, a, b):
+    """Bisection as a loop of scalar halvings: the reference for points=1."""
+    fa = float(fn(a))
+    fb = float(fn(b))
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = float(fn(m))
+        if fm == 0.0:
+            return m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def _recording(fn, log):
+    def recorded(x):
+        log.append(x)
+        return fn(x)
+
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "fn, a, b",
+    [
+        (lambda x: float(x) ** 2 - 2.0, 0.0, 2.0),
+        (lambda x: math.exp(float(x)) - 3.0, -2.5, 4.0),
+        (lambda x: math.cos(float(x)), 0.1, 3.0),
+        (lambda x: float(x) - 0.25, 0.0, 1.0),  # hits its root exactly
+        (lambda x: -1.0 if float(x) < 0.7 else 1.0, 0.0, 1.0),
+    ],
+)
+def test_bisect_root_one_point_is_plain_bisection(fn, a, b):
+    # the default takes the same scalar steps as a loop of halvings, so a
+    # scalar-only fn works and the root is the same float
+    got, want = [], []
+    root = bisect_root(_recording(fn, got), a, b)
+    assert root == _plain_bisection(_recording(fn, want), a, b)
+    assert got == want
+    assert all(type(x) is float for x in got)
+    assert len(got) < 60
+
+
+def test_bisect_root_needs_a_point_per_round():
+    with pytest.raises(ValueError, match="points"):
+        bisect_root(lambda x: x - 0.5, 0.0, 1.0, 0)
+
+
+def _fold_brackets(seed, n):
+    """Sign-change brackets of a closed-form fold minus 1 on the grid k/64, k >= 1."""
+    folded = bf.fold_mod1(bf.scale_density(random_density(np.random.default_rng(seed)), n))
+    assert folded.route == "closed-form"
+
+    def g(x):
+        return np.asarray(folded(x), dtype=float) - 1.0
+
+    xs = np.linspace(1.0 / 64.0, 1.0, 64)
+    ys = g(xs)
+    return g, [
+        (float(xs[i]), float(xs[i + 1]))
+        for i in np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
+    ]
+
+
+# monotone u; the property solves u(x) = u(root)
+_MONOTONE = (
+    lambda x: np.asarray(x, dtype=float),
+    lambda x: np.exp(3.0 * np.asarray(x, dtype=float)),
+    lambda x: -np.asarray(x, dtype=float) ** 3,
+    lambda x: np.tanh(40.0 * (np.asarray(x, dtype=float) - 0.5)),
+)
+
+
+def _same_root(fn, x, y, level):
+    """x and y are within 2 ulp, or fn is zero up to the roundoff of level between them.
+
+    Where fn's values are quantized to ulps of the level it was shifted by,
+    fn is exactly 0 on a run of floats, and any of them is a root.
+    """
+    if abs(x - y) <= 2.0 * math.ulp(y):
+        return True
+    between = np.linspace(min(x, y), max(x, y), 257)
+    return float(np.max(np.abs(fn(between)))) <= 16.0 * math.ulp(max(abs(level), 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=50),
+    family=st.integers(min_value=0, max_value=len(_MONOTONE) - 1),
+    root=st.floats(min_value=1.0 / 32.0, max_value=1.0),
+    offset=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_sectioned_root_matches_bisection(seed, n, family, root, offset):
+    # on closed-form folds and simple monotone functions, 255 points per round
+    # find the root plain bisection finds and need few calls from a bracket
+    # as wide as the oracle's scan step
+    g, brackets = _fold_brackets(seed, n)
+    u = _MONOTONE[family]
+    level = float(u(root))
+    a = root - offset / 64.0
+    b = a + 1.0 / 64.0
+    cases = [(g, p, q, 1.0) for p, q in brackets]
+    if (float(u(a)) - level) * (float(u(b)) - level) < 0.0:
+        cases.append((lambda x: u(x) - level, a, b, level))
+    assume(cases)
+    for fn, p, q, lvl in cases:
+        calls = []
+        sectioned = bisect_root(_recording(fn, calls), p, q, 255)
+        plain = bisect_root(fn, p, q)
+        assert _same_root(fn, sectioned, plain, lvl), (sectioned, plain)
+        assert len(calls) <= 10
+
+
+def test_custom_fold_bisects_one_point_per_round(monkeypatch):
+    # a translate-sum fold costs points x translates, so its crossings are
+    # refined one scalar point per round; a closed-form fold takes many
+    rounds = []
+    real = oracle.bisect_root
+
+    def counting(fn, a, b, points=1):
+        calls = []
+        root = real(_recording(fn, calls), a, b, points)
+        rounds.append([np.size(x) for x in calls])
+        return root
+
+    monkeypatch.setattr(oracle, "bisect_root", counting)
+    f = bf.uniform_log_density(10)
+    bf.delta_numeric(custom_twin_density(f), 7)
+    assert rounds and all(set(sizes) == {1} and len(sizes) <= 60 for sizes in rounds)
+    rounds.clear()
+    bf.delta_numeric(f, 7)
+    assert rounds and all(max(sizes) == oracle._SECTION_POINTS and len(sizes) <= 10 for sizes in rounds)
+
+
+def test_integrate_is_one_batched_simpson_run():
+    # one level-synchronous run over all pieces makes the same decisions as
+    # a loop of per-piece runs with abs_tol/pieces each
+    breaks = (0.2, 0.3, 0.55, 0.8)
+    cfg = QuadratureConfig(abs_tol=1e-11, breakpoints=breaks)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(2.0 * x) + np.abs(x - 0.3) + np.where(x < 0.55, 0.0, 4.0)
+
+    batched = []
+    value, err = bf.integrate(_recording(fn, batched), 0.0, 1.0, cfg)
+    looped = []
+    edges = (0.0, *breaks, 1.0)
+    parts = [
+        adaptive_simpson(_recording(fn, looped), p, q, cfg.abs_tol / 5, cfg.max_depth)
+        for p, q in zip(edges, edges[1:])
+    ]
+    assert value == pytest.approx(sum(v for v, _ in parts), rel=1e-15)
+    assert err == pytest.approx(sum(e for _, e in parts), rel=1e-12)
+    assert sum(np.size(x) for x in batched) == sum(np.size(x) for x in looped)
+    assert len(batched) < len(looped)
+
+
+def test_batched_simpson_failing_piece_raises_with_partial_value():
+    # the singular piece cannot meet its share at depth 8; the others can
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.5, np.exp(x), 1.0 / np.sqrt(np.abs(x - 0.5)))
+
+    with pytest.raises(bf.QuadratureError) as exc_info:
+        adaptive_simpson(fn, 0.0, 1.0, 1e-10, 8, breakpoints=(0.25, 0.5))
+    with pytest.raises(bf.QuadratureError) as alone:
+        adaptive_simpson(fn, 0.5, 1.0, 1e-10 / 3, 8)
+    good = sum(adaptive_simpson(fn, p, q, 1e-10 / 3, 8)[0] for p, q in ((0.0, 0.25), (0.25, 0.5)))
+    err = exc_info.value
+    assert err.partial_value == pytest.approx(good + alone.value.partial_value, rel=1e-14)
+    assert err.error_estimate > 1e-10
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle for the fold distance
 # ---------------------------------------------------------------------------
@@ -169,6 +354,33 @@ def test_delta_numeric_detail_names_fold_route():
     assert summed.detail.endswith("fold translate-sum")
     assert "sign-resolved pieces" in summed.detail
     assert closed.value == pytest.approx(summed.value, abs=1e-12)
+
+
+def _certified(report):
+    return not any(
+        "caller-asserted" in h or "not certified" in h for h in report.hypotheses_verified
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=8),
+)
+def test_oracle_never_raises_and_certified_bounds_hold(seed, n):
+    # cross-layer: the oracle takes every valid density and n, and every
+    # report labelled certified sits above its value
+    f = random_density(np.random.default_rng(seed))
+    truth = bf.delta_numeric(f, n)
+    scaled = bf.scale_density(f, n)
+    reports = [bf.bound_step_density(scaled), bf.bound_tv_quarter(scaled), bf.bound_tv_scaled(f, n)]
+    try:
+        reports.append(bf.bound_convex_eighth(scaled))
+    except bf.DensityError:
+        pass  # refused: not one affine or exponential piece over the interval
+    for report in reports:
+        if _certified(report):
+            assert report.value >= truth.value - 1e-8, report
 
 
 def test_delta_numeric_piecewise_with_kinks():
