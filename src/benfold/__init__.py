@@ -1,115 +1,62 @@
 """benfold: exact values and rigorous bounds for folded densities vs uniform.
 
-The library answers one question in several certified ways: how far is
+The library answers one question in three independent ways: how far is
 n*X mod 1 from the uniform distribution on [0, 1) (equivalently, how far is
-the significand of X**n from its logarithmic limit)?  `density` represents
-piecewise-smooth densities and their variation, `bounds` computes upper
-bounds and the closed-form exact distance for the log-uniform family, and
-`oracle` provides the independent numerical ground truth used to validate
-every bound.
+the significand of X**n from its logarithmic limit)?  `closed` holds the
+log-uniform closed forms in the standard library only; `density` represents
+piecewise-smooth densities and their variation and `bounds` computes upper
+bounds for any of them; `oracle` provides the independent numerical ground
+truth used to validate every bound.
+
+The public names below are loaded on first access (PEP 562), so importing
+the package, or using only the closed forms, does not import numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .density import (
-    DensityError,
-    FoldedDensity,
-    PiecewiseDensity,
-    Segment,
-    const_segment,
-    exp_segment,
-    fold_mod1,
-    grid_variation,
-    linear_segment,
-    normalized,
-    scale_density,
-    significand,
-    triangular_density,
-    tv_full_line,
-    tv_integer_delineated,
-    uniform_density,
-    uniform_log_density,
-)
-from .bounds import (
-    BoundReport,
-    ExactUniformParams,
-    VacuousBoundError,
-    bound_convex_eighth,
-    bound_fourier_closed,
-    bound_fourier_parseval,
-    bound_step_density,
-    bound_tv_quarter,
-    bound_tv_scaled,
-    bound_uniform_log_tv,
-    exact_delta_uniform,
-    folded_cdf_uniform,
-    fourier_coeff_uniform_log,
-    uniform_log_coeffs,
-    uniform_log_tail_bound,
-)
-from .oracle import (
-    BisectionError,
-    OracleResult,
-    QuadratureConfig,
-    QuadratureError,
-    adaptive_simpson,
-    averaging_residual,
-    check_averaging_inequality,
-    delta_crossing_unimodal,
-    delta_monte_carlo,
-    delta_numeric,
-    integrate,
-    inverse_cdf_sampler,
-    uniform_log_sampler,
-    uniform_sampler,
-)
+# public name -> submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        "BoundReport DensityError ExactUniformParams VacuousBoundError bound_fourier_closed "
+        "bound_uniform_log_tv exact_delta_uniform folded_cdf_uniform "
+        "fourier_coeff_uniform_log".split(),
+        "closed",
+    ),
+    **dict.fromkeys(
+        "FoldedDensity PiecewiseDensity Segment const_segment exp_segment fold_mod1 "
+        "grid_variation linear_segment normalized scale_density significand "
+        "triangular_density tv_full_line tv_integer_delineated uniform_density "
+        "uniform_log_density".split(),
+        "density",
+    ),
+    **dict.fromkeys(
+        "bound_convex_eighth bound_fourier_parseval bound_step_density bound_tv_quarter "
+        "bound_tv_scaled uniform_log_coeffs uniform_log_tail_bound".split(),
+        "bounds",
+    ),
+    **dict.fromkeys(
+        "BisectionError OracleResult QuadratureConfig QuadratureError adaptive_simpson "
+        "averaging_residual check_averaging_inequality delta_crossing_unimodal "
+        "delta_monte_carlo delta_numeric integrate inverse_cdf_sampler "
+        "uniform_log_sampler uniform_sampler".split(),
+        "oracle",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "BisectionError",
-    "BoundReport",
-    "DensityError",
-    "ExactUniformParams",
-    "FoldedDensity",
-    "OracleResult",
-    "PiecewiseDensity",
-    "QuadratureConfig",
-    "QuadratureError",
-    "Segment",
-    "VacuousBoundError",
-    "adaptive_simpson",
-    "averaging_residual",
-    "bound_convex_eighth",
-    "bound_fourier_closed",
-    "bound_fourier_parseval",
-    "bound_step_density",
-    "bound_tv_quarter",
-    "bound_tv_scaled",
-    "bound_uniform_log_tv",
-    "check_averaging_inequality",
-    "const_segment",
-    "delta_crossing_unimodal",
-    "delta_monte_carlo",
-    "delta_numeric",
-    "exact_delta_uniform",
-    "exp_segment",
-    "fold_mod1",
-    "folded_cdf_uniform",
-    "fourier_coeff_uniform_log",
-    "grid_variation",
-    "integrate",
-    "inverse_cdf_sampler",
-    "linear_segment",
-    "normalized",
-    "scale_density",
-    "significand",
-    "triangular_density",
-    "tv_full_line",
-    "tv_integer_delineated",
-    "uniform_density",
-    "uniform_log_coeffs",
-    "uniform_log_density",
-    "uniform_log_sampler",
-    "uniform_log_tail_bound",
-    "uniform_sampler",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name):
+    # only the table's names resolve; dunders and typos fail as usual
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -1,10 +1,10 @@
-"""Upper bounds and exact values for the distance of a fold from uniform.
+"""Upper bounds for the distance of a fold from uniform, for any density.
 
-Four families live here: the step-density L1 bound (valid for any density),
+Three families live here: the step-density L1 bound (valid for any density),
 the variation bounds TV/4 and TV/(4n) with the convexity-boosted
-(sup-inf)/8 variant, the Fourier route (rigorous truncated Parseval sum and
-the closed form ln b/(2*sqrt(12)*n)), and the closed-form exact distance for
-the log-uniform family together with its folded CDF.
+(sup-inf)/8 variant, and the rigorous truncated Parseval sum with the
+log-uniform coefficients and tail majorant it is fed.  The log-uniform
+closed forms live in `closed` and are re-exported here.
 
 Every report carries the shape hypotheses the method relied on and whether
 they were certified from segment flags or merely asserted by the caller.
@@ -13,12 +13,25 @@ they were certified from segment flags or merely asserted by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
+# the closed forms are re-exported, so benfold.bounds.<name> resolves to them
+from .closed import (
+    METHODS,
+    BoundReport,
     DensityError,
+    ExactUniformParams,
+    VacuousBoundError,
+    _require_base,
+    _require_positive_int,
+    bound_fourier_closed,
+    bound_uniform_log_tv,
+    exact_delta_uniform,
+    folded_cdf_uniform,
+    fourier_coeff_uniform_log,
+)
+from .density import (
     PiecewiseDensity,
     _piece_list,
     _snap_int,
@@ -26,55 +39,6 @@ from .density import (
     tv_integer_delineated,
     variation_is_certified,
 )
-
-METHODS = (
-    "step_density",
-    "tv_quarter",
-    "convex_eighth",
-    "tv_scaled",
-    "uniform_log_closed",
-    "fourier_parseval",
-    "fourier_closed",
-    "exact_uniform",
-)
-
-_TWO_SQRT_TWELVE = 2.0 * math.sqrt(12.0)
-
-
-class VacuousBoundError(RuntimeError):
-    """The requested bound is infinite and carries no information."""
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One computed upper bound (or exact value) with its provenance."""
-
-    method: str
-    value: float
-    hypotheses_verified: tuple[str, ...]
-    n: float = 1.0
-    b: float | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"bound value must be finite and nonnegative, got {self.value!r}")
-        if self.method == "exact_uniform" and not self.value < 1.0:
-            raise ValueError("exact distance must lie in [0, 1)")
-        object.__setattr__(self, "hypotheses_verified", tuple(self.hypotheses_verified))
-
-
-def _require_base(b: float) -> float:
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 1):
-        raise DensityError(f"base must satisfy b > 1, got {b!r}")
-    return float(b)
-
-
-def _require_positive_int(n) -> int:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DensityError(f"n must be a positive integer, got {n!r}")
-    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,29 +222,9 @@ def _grid_monotone_convex(f: PiecewiseDensity, s_lo: float, s_hi: float) -> bool
     return bool(monotone and np.all(d2 >= -tol))
 
 
-def bound_uniform_log_tv(b: float, n) -> BoundReport:
-    """Closed-form variation bound ln(b)/(8n) for the log-uniform density."""
-    b = _require_base(b)
-    n = _require_positive_int(n)
-    return BoundReport(
-        "uniform_log_closed",
-        math.log(b) / (8.0 * n),
-        ("density increasing and convex on its support: by construction",),
-        n=n,
-        b=b,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fourier route
 # ---------------------------------------------------------------------------
-
-
-def fourier_coeff_uniform_log(b: float, k: int) -> complex:
-    """k-th Fourier coefficient of the log-uniform density: ln b/(ln b - 2 pi i k)."""
-    b = _require_base(b)
-    lnb = math.log(b)
-    return lnb / complex(lnb, -2.0 * math.pi * k)
 
 
 def uniform_log_coeffs(b: float):
@@ -334,132 +278,3 @@ def bound_fourier_parseval(coeffs, n, k_max: int, tail_bound) -> BoundReport:
         ),
         n=n,
     )
-
-
-def bound_fourier_closed(b: float, n) -> BoundReport:
-    """Closed-form Fourier bound ln(b)/(2*sqrt(12)*n) for the log-uniform density."""
-    b = _require_base(b)
-    n = _require_positive_int(n)
-    return BoundReport(
-        "fourier_closed",
-        math.log(b) / (_TWO_SQRT_TWELVE * n),
-        ("coefficient moduli majorized termwise; no shape hypotheses",),
-        n=n,
-        b=b,
-    )
-
-
-# ---------------------------------------------------------------------------
-# exact closed form for the log-uniform family
-# ---------------------------------------------------------------------------
-
-
-def _mean_growth_minus_one(h: float) -> float:
-    """(e**h - 1 - h)/h, which is u - 1, without the small-h cancellation.
-
-    The direct difference loses ~2*eps/h relative accuracy as h -> 0, so a
-    short series sum(h**k/(k+1)!) takes over below 0.5.
-    """
-    if abs(h) >= 0.5:
-        return (math.expm1(h) - h) / h
-    term = h / 2.0
-    total = term
-    for k in range(2, 40):
-        term *= h / (k + 1)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
-
-
-@dataclass(frozen=True)
-class ExactUniformParams:
-    """Derived quantities for the exact log-uniform distance.
-
-    x = b**(1/a) is the fold's growth factor, u = (x-1)/ln(x) the mean value
-    of the folded density, and t0 = log_x(u) the crossing point where the
-    folded density equals 1.
-    """
-
-    b: float
-    a: float
-    x: float = 0.0
-    u: float = 0.0
-    t0: float = 0.0
-
-    def __post_init__(self):
-        b = _require_base(self.b)
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a) and self.a > 0):
-            raise DensityError(f"exponent must be positive, got {self.a!r}")
-        h = math.log(b) / float(self.a)  # = ln x
-        if h > 700.0:
-            # x overflows; only the asymptotic distance is representable
-            object.__setattr__(self, "x", math.inf)
-            object.__setattr__(self, "u", math.inf)
-            object.__setattr__(self, "t0", 1.0 - math.log(h) / h)
-            return
-        v = _mean_growth_minus_one(h)
-        object.__setattr__(self, "x", 1.0 + math.expm1(h))
-        object.__setattr__(self, "u", 1.0 + v)
-        object.__setattr__(self, "t0", math.log1p(v) / h)
-        if not self.u < self.x + 1e-12:
-            raise DensityError("mean value landed outside (1, x); inputs look corrupt")
-
-
-def exact_delta_uniform(b: float, a: float) -> BoundReport:
-    """Exact distance of the a-th-power log-uniform fold from uniform.
-
-    Evaluates (u ln u - u + 1)/(x - 1) with x = b**(1/a), u = (x-1)/ln x,
-    using expm1/log1p and a small-v series so the x -> 1 regime (large a)
-    stays fully accurate, and the asymptotic form once x overflows.
-    """
-    params = ExactUniformParams(b, a)
-    h = math.log(params.b) / float(a)
-    if not math.isfinite(params.x):
-        value = 1.0 - (math.log(h) + 1.0) / h
-        return _exact_report(value, b, a)
-    v = _mean_growth_minus_one(h)  # params.u - 1.0 would re-cancel for tiny h
-    if abs(v) < 1e-2:
-        # (1+v)ln(1+v) - v = sum_{j>=2} (-1)^j v^j / (j(j-1)); the direct
-        # expression cancels to roundoff here, the series does not
-        num = v * v * (
-            0.5
-            + v
-            * (
-                -1.0 / 6.0
-                + v
-                * (
-                    1.0 / 12.0
-                    + v * (-1.0 / 20.0 + v * (1.0 / 30.0 + v * (-1.0 / 42.0 + v / 56.0)))
-                )
-            )
-        )
-    else:
-        num = (1.0 + v) * math.log1p(v) - v
-    return _exact_report(num / math.expm1(h), b, a)
-
-
-def _exact_report(value: float, b: float, a: float) -> BoundReport:
-    return BoundReport(
-        "exact_uniform",
-        max(value, 0.0),
-        ("closed form for the log-uniform family; no hypotheses beyond b > 1, a > 0",),
-        n=float(a),
-        b=float(b),
-    )
-
-
-def folded_cdf_uniform(b: float, a: float, t: float) -> float:
-    """CDF of the folded log-uniform variable: (x**t - 1)/(x - 1), x = b**(1/a)."""
-    b = _require_base(b)
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise DensityError(f"exponent must be positive, got {a!r}")
-    if not -1e-12 <= t <= 1.0 + 1e-12:
-        raise DensityError(f"t must lie in [0, 1], got {t!r}")
-    t = min(max(t, 0.0), 1.0)
-    h = math.log(b) / float(a)
-    if h > 700.0:
-        if t == 0.0:
-            return 0.0
-        return math.exp((t - 1.0) * h) * (-math.expm1(-t * h)) / (-math.expm1(-h))
-    return math.expm1(t * h) / math.expm1(h)

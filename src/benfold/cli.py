@@ -8,48 +8,46 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
 
-from . import __version__
-from .bounds import (
+from . import _EXPORTS, __version__
+from .closed import (
     METHODS,
     BoundReport,
+    DensityError,
+    ExactUniformParams,
     VacuousBoundError,
-    bound_convex_eighth,
     bound_fourier_closed,
-    bound_fourier_parseval,
-    bound_step_density,
-    bound_tv_quarter,
-    bound_tv_scaled,
     bound_uniform_log_tv,
     exact_delta_uniform,
-    ExactUniformParams,
-    uniform_log_coeffs,
-    uniform_log_tail_bound,
 )
-from .density import (
-    DensityError,
-    PiecewiseDensity,
-    const_segment,
-    exp_segment,
-    linear_segment,
-    triangular_density,
-    uniform_density,
-    uniform_log_density,
-)
-from .oracle import (
-    BisectionError,
-    OracleResult,
-    QuadratureConfig,
-    QuadratureError,
-    delta_monte_carlo,
-    delta_numeric,
-    inverse_cdf_sampler,
-)
+
+# The numpy-backed modules are loaded by _load on first use, so `table` and
+# `exact` never import numpy.  The code below calls their functions as
+# globals of this module, which is also where a wrapper set on it takes effect.
+
+
+def _load(module: str) -> None:
+    """Import a submodule and bind its public names here, keeping names already bound."""
+    mod = importlib.import_module(f".{module}", __package__)
+    scope = globals()
+    for name, home in _EXPORTS.items():
+        if home == module:
+            scope.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 DEFAULT_NS = (1, 2, 3, 4, 5, 8, 10, 20, 50, 100, 1000)
 
@@ -147,6 +145,7 @@ def parse_density(text: str) -> tuple[PiecewiseDensity, dict]:
     `triangular LO PEAK HI`, `piecewise FILE`.  Returns the density and an
     info dict with the kind and any named parameters.
     """
+    _load("density")
     parts = text.split()
     if not parts:
         raise DensityError("empty density description")
@@ -198,6 +197,7 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
     Each record: {lo, hi, kind: "const"|"linear"|"exp", params,
     monotonicity?, convexity?}.  Flags default to what the kind implies.
     """
+    _load("density")
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
@@ -239,6 +239,7 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
 
 def run_bound(density_text: str, method: str, n: float, k_max: int = 1000) -> BoundReport:
     density, info = parse_density(density_text)
+    _load("bounds")
     if method == "step_density":
         return bound_step_density(density)
     if method == "tv_quarter":
@@ -274,6 +275,7 @@ def run_oracle(
     tol: float = 1e-10,
 ) -> OracleResult:
     density, _ = parse_density(density_text)
+    _load("oracle")
     if engine == "quad":
         return delta_numeric(density, n, QuadratureConfig(abs_tol=tol))
     if engine == "mc":
@@ -388,11 +390,19 @@ def _dispatch(args) -> int:
     raise DensityError(f"unknown command {args.command!r}")
 
 
+def _numerical_failures() -> tuple[type[Exception], ...]:
+    # the oracle's failures can only be raised once the oracle is loaded
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    if oracle is None:
+        return (VacuousBoundError,)
+    return (VacuousBoundError, oracle.QuadratureError, oracle.BisectionError)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (VacuousBoundError, QuadratureError, BisectionError) as exc:
+    except _numerical_failures() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -1,0 +1,237 @@
+"""Closed forms for the log-uniform family, in the standard library only.
+
+For X = log_b(U[1, b]) the distance of the a-th power's fold from uniform,
+the folded CDF, the Fourier coefficients and the two closed-form bounds
+ln(b)/(8n) and ln(b)/(2*sqrt(12)*n) are elementary expressions in `math`.
+This module holds them together with the report type and the errors they
+raise, so `benfold table` and `benfold exact` run without importing numpy.
+`bounds` and `density` re-export these names.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from dataclasses import dataclass
+
+METHODS = (
+    "step_density",
+    "tv_quarter",
+    "convex_eighth",
+    "tv_scaled",
+    "uniform_log_closed",
+    "fourier_parseval",
+    "fourier_closed",
+    "exact_uniform",
+)
+
+_TWO_SQRT_TWELVE = 2.0 * math.sqrt(12.0)
+
+
+class DensityError(ValueError):
+    """Invalid density construction or a domain violation."""
+
+
+class VacuousBoundError(RuntimeError):
+    """The requested bound or value carries no information in floating point."""
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One computed upper bound (or exact value) with its provenance."""
+
+    method: str
+    value: float
+    hypotheses_verified: tuple[str, ...]
+    n: float = 1.0
+    b: float | None = None
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ValueError(f"bound value must be finite and nonnegative, got {self.value!r}")
+        if self.method == "exact_uniform" and not self.value < 1.0:
+            raise ValueError("exact distance must lie in [0, 1)")
+        object.__setattr__(self, "hypotheses_verified", tuple(self.hypotheses_verified))
+
+
+def _as_real(x) -> float:
+    # x as a float, or nan when x is no real number (a bool is none here)
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
+
+
+def _require_base(b) -> float:
+    v = _as_real(b)
+    if not (math.isfinite(v) and v > 1):
+        raise DensityError(f"base must satisfy b > 1, got {b!r}")
+    return v
+
+
+def _require_exponent(a) -> float:
+    v = _as_real(a)
+    if not (math.isfinite(v) and v > 0):
+        raise DensityError(f"exponent must be positive, got {a!r}")
+    return v
+
+
+def _require_positive_int(n) -> int:
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DensityError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
+# ---------------------------------------------------------------------------
+# closed-form bounds
+# ---------------------------------------------------------------------------
+
+
+def bound_uniform_log_tv(b: float, n) -> BoundReport:
+    """Closed-form variation bound ln(b)/(8n) for the log-uniform density."""
+    b = _require_base(b)
+    n = _require_positive_int(n)
+    return BoundReport(
+        "uniform_log_closed",
+        math.log(b) / (8.0 * n),
+        ("density increasing and convex on its support: by construction",),
+        n=n,
+        b=b,
+    )
+
+
+def fourier_coeff_uniform_log(b: float, k: int) -> complex:
+    """k-th Fourier coefficient of the log-uniform density: ln b/(ln b - 2 pi i k)."""
+    b = _require_base(b)
+    lnb = math.log(b)
+    return lnb / complex(lnb, -2.0 * math.pi * k)
+
+
+def bound_fourier_closed(b: float, n) -> BoundReport:
+    """Closed-form Fourier bound ln(b)/(2*sqrt(12)*n) for the log-uniform density."""
+    b = _require_base(b)
+    n = _require_positive_int(n)
+    return BoundReport(
+        "fourier_closed",
+        math.log(b) / (_TWO_SQRT_TWELVE * n),
+        ("coefficient moduli majorized termwise; no shape hypotheses",),
+        n=n,
+        b=b,
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact closed form for the log-uniform family
+# ---------------------------------------------------------------------------
+
+
+def _mean_growth_minus_one(h: float) -> float:
+    """(e**h - 1 - h)/h, which is u - 1, without the small-h cancellation.
+
+    The direct difference loses ~2*eps/h relative accuracy as h -> 0, so a
+    short series sum(h**k/(k+1)!) takes over below 0.5.
+    """
+    if abs(h) >= 0.5:
+        return (math.expm1(h) - h) / h
+    term = h / 2.0
+    total = term
+    for k in range(2, 40):
+        term *= h / (k + 1)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total
+
+
+@dataclass(frozen=True)
+class ExactUniformParams:
+    """Derived quantities for the exact log-uniform distance.
+
+    x = b**(1/a) is the fold's growth factor, u = (x-1)/ln(x) the mean value
+    of the folded density, and t0 = log_x(u) the crossing point where the
+    folded density equals 1.  b and a are stored as floats.
+    """
+
+    b: float
+    a: float
+    x: float = 0.0
+    u: float = 0.0
+    t0: float = 0.0
+
+    def __post_init__(self):
+        b = _require_base(self.b)
+        a = _require_exponent(self.a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
+        h = math.log(b) / a  # = ln x
+        if h > 700.0:
+            # x overflows; only the asymptotic distance is representable
+            object.__setattr__(self, "x", math.inf)
+            object.__setattr__(self, "u", math.inf)
+            object.__setattr__(self, "t0", 1.0 - math.log(h) / h if h < math.inf else 1.0)
+            return
+        v = _mean_growth_minus_one(h)
+        object.__setattr__(self, "x", 1.0 + math.expm1(h))
+        object.__setattr__(self, "u", 1.0 + v)
+        object.__setattr__(self, "t0", math.log1p(v) / h)
+        if not self.u < self.x + 1e-12:
+            raise DensityError("mean value landed outside (1, x); inputs look corrupt")
+
+
+def exact_delta_uniform(b: float, a: float) -> BoundReport:
+    """Exact distance of the a-th-power log-uniform fold from uniform.
+
+    Evaluates (u ln u - u + 1)/(x - 1) with x = b**(1/a), u = (x-1)/ln x,
+    using expm1/log1p and a small-v series so the x -> 1 regime (large a)
+    stays fully accurate, and the asymptotic form once x overflows.  Raises
+    VacuousBoundError when the distance rounds to 1.
+    """
+    params = ExactUniformParams(b, a)
+    h = math.log(params.b) / params.a
+    if not math.isfinite(params.x):
+        value = 1.0 - (math.log(h) + 1.0) / h
+        return _exact_report(value, params)
+    v = _mean_growth_minus_one(h)  # params.u - 1.0 would re-cancel for tiny h
+    if abs(v) < 1e-2:
+        # (1+v)ln(1+v) - v = sum_{j>=2} (-1)^j v^j / (j(j-1)); the direct
+        # expression cancels to roundoff here, the series does not
+        acc = -1.0 / 42.0 + v / 56.0
+        for c in (1.0 / 30.0, -1.0 / 20.0, 1.0 / 12.0, -1.0 / 6.0, 0.5):
+            acc = c + v * acc
+        num = v * v * acc
+    else:
+        num = (1.0 + v) * math.log1p(v) - v
+    return _exact_report(num / math.expm1(h), params)
+
+
+def _exact_report(value: float, params: ExactUniformParams) -> BoundReport:
+    if not value < 1.0:
+        raise VacuousBoundError(
+            f"exact distance rounds to 1 in double precision at b={params.b!r}, a={params.a!r}"
+        )
+    return BoundReport(
+        "exact_uniform",
+        max(value, 0.0),
+        ("closed form for the log-uniform family; no hypotheses beyond b > 1, a > 0",),
+        n=params.a,
+        b=params.b,
+    )
+
+
+def folded_cdf_uniform(b: float, a: float, t: float) -> float:
+    """CDF of the folded log-uniform variable: (x**t - 1)/(x - 1), x = b**(1/a)."""
+    b = _require_base(b)
+    a = _require_exponent(a)
+    if not -1e-12 <= t <= 1.0 + 1e-12:
+        raise DensityError(f"t must lie in [0, 1], got {t!r}")
+    t = min(max(t, 0.0), 1.0)
+    h = math.log(b) / a
+    if h > 700.0:
+        if t == 0.0:
+            return 0.0
+        return math.exp((t - 1.0) * h) * (-math.expm1(-t * h)) / (-math.expm1(-h))
+    return math.expm1(t * h) / math.expm1(h)

@@ -9,10 +9,13 @@ degrade to grid estimation, which is reported as a lower bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from .closed import DensityError
 
 MONOTONICITIES = ("increasing", "decreasing", "constant", "unknown")
 CONVEXITIES = ("convex", "concave", "neither", "unknown")
@@ -36,10 +39,6 @@ _TOTAL_MASS_TOL = 1e-10
 # block shape of the translate sum of a custom segment (points x translates)
 _FOLD_BLOCK_POINTS = 64
 _FOLD_BLOCK_TRANSLATES = 1024
-
-
-class DensityError(ValueError):
-    """Invalid density construction or a domain violation."""
 
 
 def _quad(fn, a: float, b: float) -> float:
@@ -154,6 +153,10 @@ class Segment:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DensityError("segment endpoints must be finite")
+        if not math.isfinite(self.hi - self.lo):
+            raise DensityError(
+                f"segment width hi - lo must be finite, got [{self.lo}, {self.hi}]"
+            )
         if not self.lo < self.hi:
             raise DensityError(f"segment needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.monotonicity not in MONOTONICITIES:
@@ -170,6 +173,18 @@ class Segment:
         if self.kind == "exp" and params[1] == 0.0:
             raise DensityError("exp segment needs a nonzero rate")
         object.__setattr__(self, "params", params)
+        # the scale amp/expm1(rate) of the geometric series an exp segment
+        # folds to, or None where it underflows (a huge base) or the series
+        # can overflow (a long steep piece): translate_sum then uses log form
+        scale = None
+        if self.kind == "exp":
+            amp, r = params
+            scale = amp / math.expm1(r)
+            if amp > 0.0 and (
+                abs(scale) < sys.float_info.min or abs(r) * (self.hi - self.lo + 2.0) >= 700.0
+            ):
+                scale = None
+        object.__setattr__(self, "_exp_scale", scale)
         xs = np.linspace(self.lo, self.hi, 17)
         try:
             ys = self(xs)
@@ -259,7 +274,12 @@ class Segment:
         if self.kind == "linear":
             return m * (p[0] * (t + 0.5 * (k0 + k1 - 1.0)) + p[1])
         amp, r = p
-        return (amp / math.expm1(r)) * np.exp(r * (t + k0)) * np.expm1(r * m)
+        if self._exp_scale is not None:
+            return self._exp_scale * np.exp(r * (t + k0)) * np.expm1(r * m)
+        # sum down from the largest term, with amp inside the exponent
+        lead = k1 - 1.0 if r > 0 else k0
+        ratio = np.expm1(-abs(r) * m) / math.expm1(-abs(r))
+        return np.exp(math.log(amp) + r * (t + lead)) * ratio
 
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""

@@ -360,6 +360,55 @@ def test_exact_delta_domain_errors():
             bf.exact_delta_uniform(b, a)
 
 
+def test_exact_delta_rounding_to_one_is_a_numerical_failure():
+    # a valid input whose distance is 1 - 1e-300: not representable below 1
+    for b, a in ((1e308, 1e-300), (10.0, 1e-320)):
+        with pytest.raises(VacuousBoundError, match="rounds to 1"):
+            bf.exact_delta_uniform(b, a)
+    # ln(b)/a overflows to inf: the crossing point is at its limit 1, not nan
+    assert bf.ExactUniformParams(10.0, 1e-320).t0 == 1.0
+
+
+REAL_TYPES = (int, float, np.int64, np.float64)
+
+
+@pytest.mark.parametrize("real", REAL_TYPES)
+def test_closed_forms_accept_every_real_base_and_exponent(real):
+    assert bf.exact_delta_uniform(real(10), real(3)) == bf.exact_delta_uniform(10.0, 3.0)
+    assert bf.ExactUniformParams(real(10), real(3)) == bf.ExactUniformParams(10.0, 3.0)
+    assert bf.folded_cdf_uniform(real(10), real(2), 0.5) == bf.folded_cdf_uniform(10.0, 2.0, 0.5)
+    assert bf.bound_uniform_log_tv(real(10), 3) == bf.bound_uniform_log_tv(10.0, 3)
+    assert bf.bound_fourier_closed(real(10), 3) == bf.bound_fourier_closed(10.0, 3)
+    assert bf.fourier_coeff_uniform_log(real(10), 2) == bf.fourier_coeff_uniform_log(10.0, 2)
+
+
+@pytest.mark.parametrize(
+    "n, ok",
+    ((3, True), (np.int64(3), True), (3.0, False), (np.float64(3), False), (True, False)),
+)
+def test_closed_forms_take_n_as_an_integer_only(n, ok):
+    for fn in (bf.bound_uniform_log_tv, bf.bound_fourier_closed, bf.uniform_log_tail_bound):
+        if ok:
+            fn(10.0, n)
+        else:
+            with pytest.raises(DensityError, match="positive integer"):
+                fn(10.0, n)
+    if ok:
+        assert bf.bound_uniform_log_tv(10.0, n) == bf.bound_uniform_log_tv(10.0, 3)
+
+
+def test_closed_forms_reject_bool_base_and_exponent():
+    with pytest.raises(DensityError, match="base"):
+        bf.bound_uniform_log_tv(True, 3)
+    for call in (
+        lambda: bf.exact_delta_uniform(10.0, True),
+        lambda: bf.ExactUniformParams(10.0, True),
+        lambda: bf.folded_cdf_uniform(10.0, True, 0.5),
+    ):
+        with pytest.raises(DensityError, match="exponent"):
+            call()
+
+
 def test_folded_cdf_endpoints_and_monotonicity():
     assert bf.folded_cdf_uniform(10, 1, 0.0) == 0.0
     assert bf.folded_cdf_uniform(10, 1, 1.0) == pytest.approx(1.0, rel=1e-15)

@@ -188,6 +188,13 @@ def test_exact_rejects_bad_exponent(capsys):
     assert code == 2
 
 
+def test_exact_rounding_to_one_exits_3(capsys):
+    code, out, err = run_cli(capsys, "exact", "--base", "1e308", "--exponent", "1e-300")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err and "rounds to 1" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -285,6 +292,102 @@ def test_builtin_densities_do_not_import_scipy():
     )
     assert "CODES [0, 0]" in out
     assert "SCIPY []" in out
+
+
+_HEAVY = ("numpy", "benfold.density", "benfold.bounds", "benfold.oracle")
+
+
+def test_table_and_exact_do_not_import_numpy():
+    out = _run_python(
+        "import sys\n"
+        "from benfold.cli import main\n"
+        "codes = [main(['table', '--base', '10', '--format', fmt]) for fmt in ('text', 'csv', 'json')]\n"
+        "codes.append(main(['exact', '--base', '10', '--exponent', '3']))\n"
+        f"print('CODES', codes, 'LOADED', [m for m in {_HEAVY!r} if m in sys.modules])\n"
+    )
+    assert "CODES [0, 0, 0, 0] LOADED []" in out
+
+
+def test_bound_and_oracle_load_their_modules_on_first_use():
+    out = _run_python(
+        "import sys\n"
+        "from benfold.cli import main\n"
+        "def loaded():\n"
+        f"    return [m for m in {_HEAVY!r} if m in sys.modules]\n"
+        "print('START', loaded())\n"
+        "print('ORACLE', main(['oracle', '--density', 'uniform-log b=10', '--n', '3']), loaded())\n"
+        "print('BOUND', main(['bound', '--density', 'triangular 0 1 2', '--method', 'tv_quarter']), loaded())\n"
+    )
+    assert "START []" in out
+    assert "ORACLE 0 ['numpy', 'benfold.density', 'benfold.oracle']" in out
+    assert "BOUND 0 ['numpy', 'benfold.density', 'benfold.bounds', 'benfold.oracle']" in out
+
+
+def test_package_names_resolve_lazily_to_one_object():
+    out = _run_python(
+        "import sys\n"
+        "import benfold\n"
+        "print('IMPORT', 'numpy' in sys.modules)\n"
+        "benfold.exact_delta_uniform(10, 3)\n"
+        "print('CLOSED', 'numpy' in sys.modules)\n"
+    )
+    assert "IMPORT False" in out and "CLOSED False" in out
+    import benfold.bounds as bounds
+    import benfold.closed as closed
+    import benfold.density as density
+
+    for name in bf.__all__:
+        assert getattr(bf, name) is not None
+        assert name in dir(bf)
+    assert bf.DensityError is density.DensityError is closed.DensityError
+    assert bf.BoundReport is bounds.BoundReport is closed.BoundReport
+    assert bf.VacuousBoundError is bounds.VacuousBoundError is closed.VacuousBoundError
+    assert bounds.exact_delta_uniform is closed.exact_delta_uniform
+    assert "delta_numeric" in vars(bf)  # cached after the first lookup
+    for name in ("__wrapped__", "no_such_name", "closed_forms"):
+        with pytest.raises(AttributeError):
+            getattr(bf, name)
+
+
+def test_cli_exposes_lazy_names_and_calls_them_as_globals(monkeypatch, capsys):
+    # a wrapper set on benfold.cli is what `main` runs, also for names bound lazily
+    assert getattr(cli, "bound_step_density") is bf.bound_step_density
+    calls = []
+
+    def fake(density):
+        calls.append(density)
+        return bf.BoundReport("step_density", 0.125, ("wrapped",))
+
+    monkeypatch.setattr(cli, "bound_step_density", fake)
+    code, out, _ = run_cli(
+        capsys, "bound", "--density", "uniform-log b=10", "--method", "step_density"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert "unrounded: 0.125" in out
+    for name in ("__wrapped__", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["bound", "--density", "uniform -1e308 1e308", "--method", "step_density"],
+        ["oracle", "--density", "uniform -1e308 1e308", "--n", "1"],
+    ),
+)
+def test_infinite_width_is_bad_input_without_warnings(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "benfold", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "width hi - lo must be finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_custom_segment_still_imports_scipy_lazily():

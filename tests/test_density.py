@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,16 @@ def test_rejects_overlap():
     segs = (bf.const_segment(0, 1, 0.5), bf.const_segment(0.5, 1.5, 0.5))
     with pytest.raises(DensityError):
         bf.PiecewiseDensity(segs)
+
+
+def test_rejects_infinite_width():
+    # each end is finite but hi - lo overflows: refused before numpy sees it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DensityError, match="width hi - lo must be finite"):
+            bf.uniform_density(-1e308, 1e308)
+        with pytest.raises(DensityError, match="width hi - lo must be finite"):
+            bf.const_segment(-1.5e308, 1.5e308, 0.0)
 
 
 def test_rejects_negative_values():
@@ -282,6 +293,35 @@ def test_translate_sum_per_kind_matches_explicit_sum():
         want = [sum(float(seg(ti + k)) for k in range(int(a), int(b))) for ti, a, b in zip(t, k0, k1)]
         for s in (seg, custom_twin(seg)):
             np.testing.assert_allclose(s.translate_sum(t, k0, k1), want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, amp, rate",
+    ((-2.0, 3.0, 1e-300, 200.0), (-300.0, -299.0, 1e-320, -2.0), (-10.0, 0.0, 100.0, 100.0)),
+)
+def test_exp_translate_sum_without_underflow_or_overflow(lo, hi, amp, rate):
+    # amp / expm1(rate) underflows (first two) or e**(rate*m) overflows (last),
+    # so the plain geometric-series formula gives 0 or nan; the sum must
+    # still match the explicit sum of values
+    seg = bf.exp_segment(lo, hi, amp, rate)
+    t = np.linspace(0.0, 0.99, 12)
+    k0 = np.full(t.shape, lo)
+    k1 = np.full(t.shape, hi)
+    want = [sum(float(seg(ti + k)) for k in range(int(lo), int(hi))) for ti in t]
+    with np.errstate(all="ignore"):
+        plain = amp / math.expm1(rate) * np.exp(rate * (t + k0)) * np.expm1(rate * (k1 - k0))
+    assert not np.allclose(plain, want, rtol=1e-6, atol=0)
+    np.testing.assert_allclose(seg.translate_sum(t, k0, k1), want, rtol=1e-12, atol=0)
+
+
+def test_fold_of_long_steep_exp_piece_is_finite():
+    f = bf.PiecewiseDensity((bf.exp_segment(-10.0, 0.0, 100.0, 100.0),))
+    ts = np.array([0.1, 0.5, 0.9])
+    want = [sum(100.0 * math.exp(100.0 * (t + k)) for k in range(-10, 0)) for t in ts]
+    np.testing.assert_allclose(bf.fold_mod1(f)(ts), want, rtol=1e-12, atol=0)
+    r = bf.delta_numeric(f, 1)
+    want = bf.delta_numeric(custom_twin_density(f), 1)
+    assert r.value == pytest.approx(want.value, abs=1e-8)
 
 
 def test_fold_route_names_the_summation():

@@ -346,6 +346,15 @@ def test_delta_numeric_at_one_million(b):
     assert r.value == pytest.approx(bf.exact_delta_uniform(b, 10**6).value, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("b", (1e160, 1e200, 1e250, 1e300))
+def test_delta_numeric_huge_base(b, n):
+    # the exp fold's amp / expm1(rate) underflows here; a fold that drops
+    # it reads 0 everywhere and the oracle reports 0.5
+    r = bf.delta_numeric(bf.uniform_log_density(b), n)
+    assert r.value == pytest.approx(bf.exact_delta_uniform(b, n).value, abs=1e-8)
+
+
 def test_delta_numeric_detail_names_fold_route():
     f = bf.uniform_log_density(10)
     closed = bf.delta_numeric(f, 7)
