@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 # the closed forms are re-exported, so benfold.bounds.<name> resolves to them
 from .closed import (
     METHODS,
@@ -23,6 +21,7 @@ from .closed import (
     DensityError,
     ExactUniformParams,
     VacuousBoundError,
+    _as_real,
     _require_base,
     _require_positive_int,
     bound_fourier_closed,
@@ -119,10 +118,10 @@ def bound_tv_scaled(f: PiecewiseDensity, n) -> BoundReport:
     the integer-delineation structure, so the full-line variation is used
     instead (it is never smaller, keeping the bound sound).
     """
-    if not (isinstance(n, (int, float, np.integer)) and math.isfinite(n) and n > 0):
+    scale = _as_real(n)
+    if not (math.isfinite(scale) and scale > 0):
         raise DensityError(f"scale must be positive, got {n!r}")
-    n = float(n)
-    n_int = _snap_int(n)
+    n_int = _snap_int(scale)
     if n_int is not None and n_int >= 1:
         tv = tv_integer_delineated(f)
         route = "integer scale: integer-delineated variation"
@@ -132,7 +131,7 @@ def bound_tv_scaled(f: PiecewiseDensity, n) -> BoundReport:
     if not math.isfinite(tv):
         raise VacuousBoundError("variation is infinite; TV/(4n) carries no information")
     return BoundReport(
-        "tv_scaled", tv / (4.0 * n), (route, _variation_hypothesis(f)), n=n
+        "tv_scaled", tv / (4.0 * scale), (route, _variation_hypothesis(f)), n=scale
     )
 
 
@@ -148,7 +147,7 @@ def bound_convex_eighth(
     shape, which holds when one affine or exponential segment covers the
     whole interval; a ramp that idles at zero before rising, or a power-law
     profile like x**1.5, exceeds it.  So only that case is certified, from
-    its flags plus a grid spot check.  Anything else raises DensityError,
+    its flags and its kind.  Anything else raises DensityError,
     or with assume_hypotheses is reported as caller-asserted; hard
     contradictions such as opposing monotone flags, concave flags, interior
     gaps, or interior jumps are rejected regardless.
@@ -199,27 +198,14 @@ def bound_convex_eighth(
             f"convex flags covering ({n_lo:g}, {m_hi:g}); "
             "pass assume_hypotheses=True to assert the hypotheses"
         )
-    label = "caller-asserted"
-    if certified:
-        if not _grid_monotone_convex(f, s_lo, s_hi):
-            raise DensityError("grid spot check contradicts the monotone+convex flags")
-        label = "certified (segment flags, grid-checked)"
+    # const, linear and exp (amp > 0) are monotone and convex by construction
+    label = "certified (segment flags and kind)" if certified else "caller-asserted"
     hyp = (f"monotone: {label}", f"convex: {label}", f"one affine or exponential segment: {label}")
 
     flat = [v for pair in vals for v in pair]
     sup = max(flat)
     inf = min(flat)
     return BoundReport("convex_eighth", (sup - inf) / 8.0, hyp)
-
-
-def _grid_monotone_convex(f: PiecewiseDensity, s_lo: float, s_hi: float) -> bool:
-    xs = np.linspace(s_lo, s_hi, 257)
-    ys = f(xs)
-    d1 = np.diff(ys)
-    tol = 1e-9 * (np.max(np.abs(ys)) + 1e-30)
-    monotone = np.all(d1 >= -tol) or np.all(d1 <= tol)
-    d2 = np.diff(ys, 2)
-    return bool(monotone and np.all(d2 >= -tol))
 
 
 # ---------------------------------------------------------------------------

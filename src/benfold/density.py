@@ -4,6 +4,10 @@ A density is a list of smooth segments with analyst-supplied shape flags
 (monotonicity, convexity).  The flags are what let the variation and the
 convexity-boosted bounds run on certified closed forms; "unknown" flags
 degrade to grid estimation, which is reported as a lower bound.
+
+numpy is imported on first array use.  Building densities from built-in
+segments, their masses and their variation need only `math`, so `benfold
+bound` on them runs without numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +17,20 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
+from .closed import DensityError, _as_real
 
-from .closed import DensityError
+
+class _LazyNumpy:
+    # stands in for numpy until an array is first needed, then rebinds np
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 MONOTONICITIES = ("increasing", "decreasing", "constant", "unknown")
 CONVEXITIES = ("convex", "concave", "neither", "unknown")
@@ -138,8 +153,10 @@ class Segment:
     base is the callable of a custom segment (None for the other kinds) and
     must be vectorized over numpy arrays.  Value, mass and level crossings
     have closed forms for every kind but custom, which integrates and finds
-    crossings numerically with scipy, imported on first use.  The shape flags
-    certify behaviour the variation and bound code is allowed to rely on.
+    crossings numerically with scipy, imported on first use.  Called on a
+    Python int or float, a built-in kind returns a float computed with
+    `math`; on anything else, an array.  The shape flags certify behaviour
+    the variation and bound code is allowed to rely on.
     """
 
     lo: float
@@ -185,21 +202,37 @@ class Segment:
             ):
                 scale = None
         object.__setattr__(self, "_exp_scale", scale)
-        xs = np.linspace(self.lo, self.hi, 17)
-        try:
-            ys = self(xs)
-        except (TypeError, ValueError) as exc:
-            raise DensityError(f"segment function must be vectorized: {exc}") from exc
-        if ys.shape != xs.shape:
-            raise DensityError("segment function must be vectorized over numpy arrays")
-        if not np.all(np.isfinite(ys)):
+        if self.kind == "custom":
+            xs = np.linspace(self.lo, self.hi, 17)
+            try:
+                ys = self(xs)
+            except (TypeError, ValueError) as exc:
+                raise DensityError(f"segment function must be vectorized: {exc}") from exc
+            if ys.shape != xs.shape:
+                raise DensityError("segment function must be vectorized over numpy arrays")
+            ys = ys.tolist()
+        else:
+            # the built-in kinds are monotone, so their ends bound every value
+            ys = [self(float(self.lo)), self(float(self.hi))]
+        if not all(map(math.isfinite, ys)):
             raise DensityError("segment evaluates to a non-finite value")
-        if np.any(ys < -1e-12):
+        if min(ys) < -1e-12:
             raise DensityError("segment evaluates negative; densities are nonnegative")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
         p = self.params
+        if type(x) in (float, int) and self.kind != "custom":
+            # a Python scalar gets the same formula in math, as a float
+            x = float(x)
+            if self.kind == "const":
+                return float(p[0])
+            if self.kind == "linear":
+                return p[0] * x + p[1]
+            try:
+                return p[0] * math.exp(p[1] * x)
+            except OverflowError:
+                return p[0] * math.inf  # what np.exp gives
+        x = np.asarray(x, dtype=float)
         if self.kind == "const":
             return np.full(x.shape, p[0])
         if self.kind == "linear":
@@ -404,9 +437,10 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
 
 def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
     """Density of n*X: x -> f(x/n)/n, support stretched by n, flags preserved."""
-    if not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0):
+    scale = _as_real(n)
+    if not (math.isfinite(scale) and scale > 0):
         raise DensityError(f"scale factor must be positive, got {n!r}")
-    return PiecewiseDensity(tuple(seg.stretched(float(n)) for seg in f.segments))
+    return PiecewiseDensity(tuple(seg.stretched(scale) for seg in f.segments))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closed import _require_positive_int
 from .density import (
     FoldedDensity,
     PiecewiseDensity,
@@ -193,7 +194,7 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
     return adaptive_simpson(fn, a, b, cfg.abs_tol, cfg.max_depth, cfg.breakpoints)
 
 
-def bisect_root(fn, a: float, b: float, points: int = 1) -> float:
+def bisect_root(fn, a: float, b: float, points: int = 1, ends=None) -> float:
     """Sectioned bisection for a sign change of fn on [a, b].
 
     Each round evaluates fn at `points` equally spaced interior points of
@@ -201,12 +202,13 @@ def bisect_root(fn, a: float, b: float, points: int = 1) -> float:
     change, until no representable interior point is left.  points=1 is
     plain bisection on floats, so a scalar-only fn works and a round costs
     no array work; more points suit an fn whose cost barely grows with the
-    number of points it is given.
+    number of points it is given.  ends, when given, holds (fn(a), fn(b)),
+    which the caller already has, so fn is not evaluated there again.
     """
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
-    fa = float(fn(a))
-    fb = float(fn(b))
+    fa, fb = (fn(a), fn(b)) if ends is None else ends
+    fa, fb = float(fa), float(fb)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -284,9 +286,13 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points, section_poin
         ys = evalg(xs)
         floor = _ROUNDOFF_FLOOR * (abs(level) + float(np.max(np.abs(ys))))
         above = np.abs(ys) > floor
-        xs, neg = xs[above], ys[above] < 0
+        xs, ys = xs[above], ys[above]
+        neg = ys < 0
         for i in np.flatnonzero(neg[:-1] != neg[1:]):
-            bounds.append(bisect_root(g, float(xs[i]), float(xs[i + 1]), section_points))
+            root = bisect_root(
+                g, float(xs[i]), float(xs[i + 1]), section_points, ends=(ys[i], ys[i + 1])
+            )
+            bounds.append(root)
         bounds.append(q)
         err += floor * (q - p)
     # inside a sign-resolved piece |g| differs from g only in sign, so the
@@ -306,8 +312,7 @@ def delta_numeric(
     segment endpoints, splits again at crossings of 1 found by bisection,
     and integrates |f_n - 1| over the sign-resolved pieces in one Simpson run.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _require_positive_int(n)
     cfg = cfg or QuadratureConfig()
     scaled = scale_density(f, float(n))
     folded = fold_mod1(scaled)
@@ -364,7 +369,7 @@ def delta_crossing_unimodal(
             "folded density never crosses 1 but is not uniform; "
             "strict monotonicity hypothesis looks violated"
         )
-    t0 = bisect_root(g, a, b, _section_points(folded))
+    t0 = bisect_root(g, a, b, _section_points(folded), ends=(ga, gb))
     cdf_t0, err = integrate(folded, 0.0, t0, cfg)
     return OracleResult(
         value=abs(t0 - cdf_t0),

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
@@ -174,6 +174,55 @@ def test_convex_eighth_is_not_universal_documented_counterexample():
     # the hypotheses-only bounds stay sound on the same density
     assert truth.value <= bf.bound_tv_quarter(ramp).value + 1e-10
     assert truth.value <= bf.bound_step_density(ramp).value + 1e-10
+
+
+def _grid_monotone_convex(f, lo, hi):
+    # 257 samples on [lo, hi] are monotone and have nonnegative second
+    # differences, up to roundoff in the largest value
+    ys = f(np.linspace(lo, hi, 257))
+    d1 = np.diff(ys)
+    tol = 1e-9 * (np.max(np.abs(ys)) + 1e-30)
+    monotone = np.all(d1 >= -tol) or np.all(d1 <= tol)
+    return bool(monotone and np.all(np.diff(ys, 2) >= -tol))
+
+
+def _single_segment_density(kind, k, cells, y0, y1, log_rate):
+    lo, hi = float(k), float(k + cells)
+    if kind == "const":
+        return bf.uniform_density(lo, hi)
+    if kind == "linear":
+        slope = (y1 - y0) / (hi - lo)
+        return bf.normalized((bf.linear_segment(lo, hi, slope, y0 - slope * lo),))
+    rate = math.copysign(10.0**log_rate, y1 - y0)
+    return bf.normalized((bf.exp_segment(lo, hi, math.exp(-rate * lo), rate),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("const", "linear", "exp")),
+    k=st.integers(min_value=-3, max_value=3),
+    cells=st.integers(min_value=1, max_value=3),
+    y0=st.floats(min_value=0.0, max_value=2.0),
+    y1=st.floats(min_value=0.0, max_value=2.0),
+    log_rate=st.floats(min_value=-9.0, max_value=math.log10(250.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_certified_convex_eighth_is_monotone_and_convex_on_a_grid(
+    kind, k, cells, y0, y1, log_rate, seed
+):
+    # the certified label rests on the segment's flags and kind alone; every
+    # density it certifies passes a 257-point monotone and convex check
+    assume(kind != "linear" or y0 + y1 > 1e-3)
+    assume(kind != "exp" or 10.0**log_rate * cells < 700.0)
+    single = _single_segment_density(kind, k, cells, y0, y1, log_rate)
+    for f in (single, random_density(np.random.default_rng(seed))):
+        try:
+            report = bf.bound_convex_eighth(f)
+        except DensityError:
+            assert f is not single
+            continue
+        assert all("certified (segment flags and kind)" in h for h in report.hypotheses_verified)
+        assert _grid_monotone_convex(f, *f.support())
 
 
 def test_convex_eighth_sound_for_exponential_family():
@@ -407,6 +456,22 @@ def test_closed_forms_reject_bool_base_and_exponent():
     ):
         with pytest.raises(DensityError, match="exponent"):
             call()
+
+
+def test_scales_and_n_take_one_argument_rule():
+    # numpy scalars are accepted; a bool is no scale and no n
+    f = bf.uniform_log_density(10)
+    for real in (np.int64, np.float64):
+        assert bf.bound_tv_scaled(f, real(3)) == bf.bound_tv_scaled(f, 3)
+        assert bf.scale_density(f, real(3)) == bf.scale_density(f, 3.0)
+    assert bf.delta_numeric(f, np.int64(3)).value == bf.delta_numeric(f, 3).value
+    with pytest.raises(DensityError, match="scale must be positive"):
+        bf.bound_tv_scaled(f, True)
+    with pytest.raises(DensityError, match="scale factor must be positive"):
+        bf.scale_density(f, True)
+    for n in (True, np.float64(3)):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            bf.delta_numeric(f, n)
 
 
 def test_folded_cdf_endpoints_and_monotonicity():

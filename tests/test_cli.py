@@ -308,6 +308,57 @@ def test_table_and_exact_do_not_import_numpy():
     assert "CODES [0, 0, 0, 0] LOADED []" in out
 
 
+def test_bound_on_builtin_densities_does_not_import_numpy(tmp_path, capsys):
+    amp = 0.35 / (math.exp(-1.5) - math.exp(-2.5))
+    spec = [
+        {"lo": 0.0, "hi": 0.5, "kind": "const", "params": {"value": 0.5}},
+        {"lo": 0.5, "hi": 1.5, "kind": "linear", "params": {"slope": 0.2, "intercept": 0.2}},
+        {"lo": 1.5, "hi": 2.5, "kind": "exp", "params": {"amp": amp, "rate": -1.0}},
+    ]
+    path = tmp_path / "segments.json"
+    path.write_text(json.dumps(spec))
+    densities = (
+        "uniform-log b=10",
+        "exp-on-unit b=10",
+        "triangular 0 1 2",
+        "uniform 0 2",
+        "uniform 0.25 1.75",
+        f"piecewise {path}",
+    )
+    runs = [
+        ["bound", "--density", d, "--method", m, "--n", n]
+        for d in densities
+        for m in cli.METHODS
+        if m != "exact_uniform"
+        for n in ("3", "2.5")
+    ]
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "from benfold.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print('CODES', codes)\n"
+        "print('NUMPY', 'numpy' in sys.modules)\n"
+    )
+    # the same runs in this process give the same exit codes
+    want = [cli.main(argv) for argv in runs]
+    capsys.readouterr()
+    assert f"CODES {want}" in out
+    assert want.count(0) >= 30  # the general bounds ran, not only refusals
+    assert "NUMPY False" in out
+
+
+def test_oracle_still_loads_numpy():
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "from benfold.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['oracle', '--density', 'uniform-log b=10', '--n', '3'])\n"
+        "print('ORACLE', code, 'numpy' in sys.modules)\n"
+    )
+    assert "ORACLE 0 True" in out
+
+
 def test_bound_and_oracle_load_their_modules_on_first_use():
     out = _run_python(
         "import sys\n"

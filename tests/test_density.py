@@ -150,6 +150,81 @@ def test_segment_kind_and_params_are_validated():
         bf.Segment(0.0, 1.0, np.exp, kind="exp", params=(1.0, 1.0))
 
 
+def test_validation_messages():
+    # the built-in kinds are checked at their two ends, custom on 17 samples;
+    # the messages are the same either way
+    with pytest.raises(DensityError, match="non-finite value"):
+        bf.exp_segment(0.0, 1000.0, 1.0, 1.0)  # e**1000 overflows at hi
+    with pytest.raises(DensityError, match="non-finite value"):
+        bf.const_segment(0.0, 1.0, math.nan)
+    with pytest.raises(DensityError, match="segment evaluates negative"):
+        bf.linear_segment(0.0, 1.0, -3.0, 1.0)
+    with pytest.raises(DensityError, match="segment evaluates negative"):
+        bf.Segment(0.0, 1.0, None, kind="exp", params=(-1.0, 1.0))
+    with pytest.raises(DensityError, match="width hi - lo must be finite"):
+        bf.linear_segment(-1e308, 1e308, 0.0, 1.0)
+    with pytest.raises(DensityError, match="segment evaluates negative"):
+        # positive at both ends, negative inside: only the samples see it
+        bf.Segment(0.0, 1.0, lambda x: 1.0 - 2.0 * np.sin(np.pi * x))
+
+
+def _x_points():
+    return st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), xs=st.lists(_x_points(), min_size=1, max_size=10))
+def test_scalar_segment_value_matches_the_array_path(seed, xs):
+    # a Python int or float is evaluated with math, an array with numpy:
+    # const and linear agree bit for bit; math.exp and np.exp agree within
+    # one ulp, so an exp value, one rounding later, within two
+    for seg in random_density(np.random.default_rng(seed)).segments:
+        for x in xs:
+            got = seg(x)
+            want = float(seg(np.array([x]))[0])
+            assert type(got) is float
+            if seg.kind == "exp":
+                rx = seg.params[1] * x
+                assert abs(math.exp(rx) - float(np.exp(np.array([rx]))[0])) <= math.ulp(math.exp(rx))
+                assert abs(got - want) <= 2.0 * math.ulp(want)
+            else:
+                assert got == want
+
+
+def test_scalar_exp_overflow_is_inf_and_bool_takes_the_array_path():
+    seg = bf.exp_segment(0.0, 1.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert seg(1000.0) == math.inf
+        assert seg(-1000) == 0.0
+    assert type(seg(True)) is np.float64
+
+
+def test_builtin_densities_load_numpy_on_first_array_use():
+    code = (
+        "import sys\n"
+        "import benfold as bf\n"
+        "f = bf.PiecewiseDensity((bf.const_segment(0.0, 0.5, 0.5), bf.linear_segment(0.5, 1.5, 0.5, 0.25)))\n"
+        "bf.tv_full_line(bf.scale_density(bf.uniform_log_density(10), 3))\n"
+        "print('BUILT', 'numpy' in sys.modules, bf.tv_integer_delineated(f))\n"
+        "bf.fold_mod1(f)(0.25)\n"
+        "print('FOLDED', 'numpy' in sys.modules)\n"
+        "bf.Segment(0.0, 1.0, lambda x: 0.5 + x)\n"
+        "print('CUSTOM', 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "BUILT False 1.5" in proc.stdout
+    assert "FOLDED True" in proc.stdout
+    code = code.replace("bf.fold_mod1(f)(0.25)", "pass")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert "FOLDED False" in proc.stdout and "CUSTOM True" in proc.stdout, proc.stderr
+
+
 def test_closed_forms_match_callable_path_mass():
     rng = np.random.default_rng(2718)
     for _ in range(60):

@@ -235,9 +235,9 @@ def test_custom_fold_bisects_one_point_per_round(monkeypatch):
     rounds = []
     real = oracle.bisect_root
 
-    def counting(fn, a, b, points=1):
+    def counting(fn, a, b, points=1, ends=None):
         calls = []
-        root = real(_recording(fn, calls), a, b, points)
+        root = real(_recording(fn, calls), a, b, points, ends)
         rounds.append([np.size(x) for x in calls])
         return root
 
