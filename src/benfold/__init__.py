@@ -10,9 +10,9 @@ truth used to validate every bound.
 
 The public names below are loaded on first access (PEP 562), so importing
 the package, or using only the closed forms, does not import numpy.
-`density` imports numpy on first array use, so building densities from
-const, linear and exp segments and bounding them does not import it
-either; the oracle and custom segments do.
+Nor do densities of const, linear and exp segments, their bounds and their
+quadrature oracle, which fold in `math`; arrays, custom segments, vectorized
+integrands and Monte Carlo import it on first use.
 """
 
 import importlib

@@ -128,11 +128,10 @@ def bound_tv_scaled(f: PiecewiseDensity, n) -> BoundReport:
     else:
         tv = tv_full_line(f)
         route = "real scale: full-line variation"
-    if not math.isfinite(tv):
-        raise VacuousBoundError("variation is infinite; TV/(4n) carries no information")
-    return BoundReport(
-        "tv_scaled", tv / (4.0 * scale), (route, _variation_hypothesis(f)), n=scale
-    )
+    value = tv / (4.0 * scale)
+    if not math.isfinite(value):
+        raise VacuousBoundError(f"TV/(4n) = {tv!r}/(4*{scale!r}) is not finite: no information")
+    return BoundReport("tv_scaled", value, (route, _variation_hypothesis(f)), n=scale)
 
 
 def bound_convex_eighth(

@@ -6,8 +6,9 @@ convexity-boosted bounds run on certified closed forms; "unknown" flags
 degrade to grid estimation, which is reported as a lower bound.
 
 numpy is imported on first array use.  Building densities from built-in
-segments, their masses and their variation need only `math`, so `benfold
-bound` on them runs without numpy.
+segments, their masses, their variation and their folds at Python floats
+need only `math`, so `benfold bound` and `benfold oracle` on them run
+without numpy.
 """
 
 from __future__ import annotations
@@ -21,16 +22,18 @@ from .closed import DensityError, _as_real
 
 
 class _LazyNumpy:
-    # stands in for numpy until an array is first needed, then rebinds np
+    # a module's np until numpy is first needed, then rebinds it to numpy
+    def __init__(self, scope):
+        self._scope = scope
+
     def __getattr__(self, name):
-        global np
         import numpy
 
-        np = numpy
+        self._scope["np"] = numpy
         return getattr(numpy, name)
 
 
-np = _LazyNumpy()
+np = _LazyNumpy(globals())
 
 MONOTONICITIES = ("increasing", "decreasing", "constant", "unknown")
 CONVEXITIES = ("convex", "concave", "neither", "unknown")
@@ -47,6 +50,9 @@ _PARAM_MAPS = {
 
 # relative slack when deciding whether an endpoint sits exactly on an integer
 _INT_SNAP_TOL = 1e-12
+# an endpoint never snaps farther than this share of its segment's width, so
+# both ends of a segment cannot snap to one integer
+_SNAP_WIDTH_SHARE = 1e-3
 # a segment whose mass falls below this is identically zero for our purposes
 _ZERO_MASS = 1e-15
 # a density's total mass must be 1 within this
@@ -91,21 +97,26 @@ def _blocked_translate_sum(seg, t, k0, k1):
     return out
 
 
-def _snap_int(x: float) -> int | None:
+def _snap_int(x: float, width: float = math.inf) -> int | None:
+    # width is that of the segment x ends, when x is an endpoint
     r = round(x)
-    if abs(x - r) <= _INT_SNAP_TOL * max(1.0, abs(x)):
+    if abs(x - r) <= min(_INT_SNAP_TOL * max(1.0, abs(x)), _SNAP_WIDTH_SHARE * width):
         return int(r)
     return None
 
 
-def _floor_snapped(x: float) -> int:
-    r = _snap_int(x)
-    return r if r is not None else math.floor(x)
+def _snapped(x: float, width: float, outward) -> int:
+    # x snapped to an integer, else rounded by outward (math.floor or math.ceil)
+    r = _snap_int(x, width)
+    return r if r is not None else outward(x)
 
 
-def _ceil_snapped(x: float) -> int:
-    r = _snap_int(x)
-    return r if r is not None else math.ceil(x)
+def _exp(x: float) -> float:
+    # math.exp with overflow to inf, as np.exp gives
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def significand(x: float, b: float = 10.0) -> float:
@@ -228,10 +239,7 @@ class Segment:
                 return float(p[0])
             if self.kind == "linear":
                 return p[0] * x + p[1]
-            try:
-                return p[0] * math.exp(p[1] * x)
-            except OverflowError:
-                return p[0] * math.inf  # what np.exp gives
+            return p[0] * _exp(p[1] * x)
         x = np.asarray(x, dtype=float)
         if self.kind == "const":
             return np.full(x.shape, p[0])
@@ -291,16 +299,21 @@ class Segment:
         return roots
 
     def translate_sum(self, t, k0, k1):
-        """Sum of self(t + k) over the integers k0 <= k < k1, per point.
+        """Sum of self(t + k) over the integers k0 <= k < k1.
 
-        t, k0 and k1 are 1-d arrays of one length (k0, k1 integer-valued).
-        Built-in kinds sum the series in closed form: m equal terms, an
-        arithmetic series, a geometric series.  A custom segment sums its
-        translates in fixed blocks, so memory does not grow with k1 - k0.
+        Built-in kinds take one point as Python floats (k0, k1
+        integer-valued) and sum the series in closed form with math: m equal
+        terms, an arithmetic series, a geometric series.  Given 1-d arrays,
+        they sum each point the same way.  A custom segment takes 1-d arrays
+        only and sums its translates in fixed blocks, so memory does not
+        grow with k1 - k0.
         """
         if self.kind == "custom":
             return _blocked_translate_sum(self, t, k0, k1)
-        m = np.maximum(k1 - k0, 0.0)
+        if type(t) not in (float, int):
+            args = (np.asarray(v, dtype=float).tolist() for v in (t, k0, k1))
+            return np.array([self.translate_sum(*point) for point in zip(*args)], dtype=float)
+        m = k1 - k0 if k1 > k0 else 0.0
         p = self.params
         if self.kind == "const":
             return m * p[0]
@@ -308,11 +321,11 @@ class Segment:
             return m * (p[0] * (t + 0.5 * (k0 + k1 - 1.0)) + p[1])
         amp, r = p
         if self._exp_scale is not None:
-            return self._exp_scale * np.exp(r * (t + k0)) * np.expm1(r * m)
+            return self._exp_scale * _exp(r * (t + k0)) * math.expm1(r * m)
         # sum down from the largest term, with amp inside the exponent
         lead = k1 - 1.0 if r > 0 else k0
-        ratio = np.expm1(-abs(r) * m) / math.expm1(-abs(r))
-        return np.exp(math.log(amp) + r * (t + lead)) * ratio
+        ratio = math.expm1(-abs(r) * m) / math.expm1(-abs(r))
+        return _exp(math.log(amp) + r * (t + lead)) * ratio
 
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""
@@ -366,8 +379,11 @@ class PiecewiseDensity:
 
     def delineated_interval(self) -> tuple[int, int]:
         """Smallest integer-endpoint interval (n, m) containing the support."""
-        s_lo, s_hi = self.support()
-        return _floor_snapped(s_lo), _ceil_snapped(s_hi)
+        first, last = self.segments[0], self.segments[-1]
+        return (
+            _snapped(first.lo, first.hi - first.lo, math.floor),
+            _snapped(last.hi, last.hi - last.lo, math.ceil),
+        )
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -409,29 +425,37 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     segment with lo <= t + k < hi (<= hi on the last segment) and k in
     [floor(lo), ceil(hi)), a contiguous range that Segment.translate_sum
     sums in closed form per kind, so a call costs O(segments) per point
-    whatever the scale of f.  Each point's value is computed in the same
-    order for every call shape, so a scalar call returns bit for bit what
-    the same point gets inside a vector call.
+    whatever the scale of f.  At a Python float a closed-form fold returns a
+    float computed with math, at an array the same per-point sums (custom
+    segments sum an array's points in numpy), so a scalar call returns bit
+    for bit what the same point gets inside a vector call.
     """
     pieces = []
     last = len(f.segments) - 1
     for i, seg in enumerate(f.segments):
-        k_lo = _floor_snapped(seg.lo)
-        k_end = max(_ceil_snapped(seg.hi), k_lo + 1)
-        pieces.append((seg, float(k_lo), float(k_end), i == last))
+        width = seg.hi - seg.lo
+        k_lo = _snapped(seg.lo, width, math.floor)
+        k_end = max(_snapped(seg.hi, width, math.ceil), k_lo + 1)
+        pieces.append((seg.translate_sum, seg.lo, seg.hi, float(k_lo), float(k_end), i == last))
+    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
+    closed = routes == {"closed-form"}
 
     def fn(t):
+        if type(t) in (float, int) and closed:
+            t, out = float(t), 0.0
+            for tsum, lo, hi, k_lo, k_end, top in pieces:
+                k1 = math.floor(hi - t) + 1 if top else math.ceil(hi - t)
+                out += tsum(t, float(max(math.ceil(lo - t), k_lo)), float(min(k1, k_end)))
+            return out
         ts = np.asarray(t, dtype=float)
-        scalar = ts.ndim == 0
         tt = ts.reshape(-1)
         out = np.zeros(tt.shape, dtype=float)
-        for seg, k_lo, k_end, closed_top in pieces:
-            k0 = np.maximum(np.ceil(seg.lo - tt), k_lo)
-            k1 = np.floor(seg.hi - tt) + 1.0 if closed_top else np.ceil(seg.hi - tt)
-            out += seg.translate_sum(tt, k0, np.minimum(k1, k_end))
-        return float(out[0]) if scalar else out.reshape(ts.shape)
+        for tsum, lo, hi, k_lo, k_end, top in pieces:
+            k0 = np.maximum(np.ceil(lo - tt), k_lo)
+            k1 = np.floor(hi - tt) + 1.0 if top else np.ceil(hi - tt)
+            out += tsum(tt, k0, np.minimum(k1, k_end))
+        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
-    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     return FoldedDensity(fn=fn, route="+".join(sorted(routes)))
 
 
@@ -528,11 +552,11 @@ def tv_integer_delineated(f: PiecewiseDensity) -> float:
     core, _, v_left, v_right = _variation_core(f)
     if not math.isfinite(core):
         return math.inf
-    s_lo, s_hi = f.support()
+    first, last = f.segments[0], f.segments[-1]
     total = core
-    if _snap_int(s_lo) is None:  # support starts strictly inside (n, n+1)
+    if _snap_int(first.lo, first.hi - first.lo) is None:  # starts strictly inside (n, n+1)
         total += v_left
-    if _snap_int(s_hi) is None:
+    if _snap_int(last.hi, last.hi - last.lo) is None:
         total += v_right
     return total
 

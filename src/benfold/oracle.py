@@ -3,7 +3,8 @@
 Everything here is self-contained on purpose: the quadrature is a
 hand-rolled adaptive Simpson scheme and roots come from bisection, so
 the oracle shares no code path with the closed forms and library-backed
-integrals it is used to check.
+integrals it is used to check.  Both run on Python floats; a closed-form
+fold is evaluated point by point in `math`, so numpy is not imported.
 
 The L1 integrand |f_n - 1| is non-smooth exactly at the fold images of
 segment endpoints and at crossings of 1, so both are located first and
@@ -14,19 +15,20 @@ kink or a crossing wastes depth and ruins the error estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .closed import _require_positive_int
 from .density import (
     FoldedDensity,
     PiecewiseDensity,
-    _floor_snapped,
+    _LazyNumpy,
     _snap_int,
+    _snapped,
     fold_mod1,
     scale_density,
 )
+
+np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
 
 # relative inset used for endpoint evaluations, so one-sided limits are
 # sampled instead of the other piece's value at a shared breakpoint
@@ -35,9 +37,6 @@ _EDGE_INSET = 1e-12
 _MAX_INTERVALS = 1 << 20
 # rounds of bracket refinement in bisect_root
 _BISECT_STEPS = 80
-# interior points per bisect_root round on a closed-form fold, where one call
-# on this many points costs about as much as a call on one
-_SECTION_POINTS = 255
 # scan samples closer to the level than this share of the values' magnitude
 # are taken as roundoff, not as a side of a crossing
 _ROUNDOFF_FLOOR = 1e-12
@@ -81,111 +80,128 @@ class OracleResult:
     detail: str = ""
 
 
-def _make_batch_eval(fn):
-    """Evaluate fn over arrays, probing once whether it vectorizes."""
-    state = {"vec": None}
+class _Integral(tuple):
+    """(value, error_estimate), with the value of each piece in `pieces`."""
+
+    def __new__(cls, value, error, pieces):
+        out = super().__new__(cls, (value, error))
+        out.pieces = pieces
+        return out
+
+
+def _evaluator(fn):
+    """Evaluate fn on a list of floats, as a list of floats.
+
+    A closed-form fold goes point by point, any other fold in one vectorized
+    call.  Other callables are probed on the first point: a Python number
+    back means point by point, anything else a vectorized call, and point by
+    point after all if that call fails.
+    """
+    vec = {"callable": None, "closed-form": False}.get(getattr(fn, "route", "callable"), True)
+    call = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
 
     def evalf(xs):
-        if state["vec"] is None:
+        nonlocal vec
+        head = []
+        if vec is None:
+            y = call(xs[0])
+            vec = type(y) not in (float, int)
+            head, xs = [float(y)], xs[1:]
+        if vec and xs:
             try:
-                out = np.asarray(fn(xs), dtype=float)
-                if out.shape == xs.shape:
-                    state["vec"] = True
-                    return out
+                ys = np.asarray(call(np.array(xs)), dtype=float)
+                if ys.shape == (len(xs),):
+                    return head + ys.tolist()
             except (TypeError, ValueError):
                 pass
-            state["vec"] = False
-        if state["vec"]:
-            return np.asarray(fn(xs), dtype=float)
-        return np.array([float(fn(x)) for x in xs], dtype=float)
+            vec = False
+        return head + [float(call(x)) for x in xs]
 
     return evalf
 
 
+def _linspace(a: float, b: float, num: int) -> list[float]:
+    # the points of np.linspace(a, b, num), as floats
+    step = (b - a) / (num - 1)
+    return [a + i * step for i in range(num - 1)] + [b]
+
+
 def adaptive_simpson(
-    fn,
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    max_depth: int = 60,
-    breakpoints=(),
+    fn, a: float, b: float, abs_tol: float = 1e-10, max_depth: int = 60, breakpoints=()
 ):
     """Integrate fn over [a, b] with a level-synchronous adaptive Simpson rule.
 
     [a, b] is split at the breakpoints inside it, and every piece starts
     with the tolerance abs_tol / pieces.  All intervals pending at a given
-    depth, in every piece, are refined with a single batched evaluation, so
-    vectorized integrands run at numpy speed however many pieces there are.
-    Accepted intervals use Richardson extrapolation of the two Simpson
-    estimates.  Endpoint samples are taken a hair inside each interval so
-    breakpoints can sit exactly on jump discontinuities.
+    depth, in every piece, are refined with one evaluation of their points:
+    one numpy call for a vectorized fn, point by point for a closed-form
+    fold or a scalar fn.  Accepted intervals use Richardson extrapolation
+    of the two Simpson estimates.  Endpoint samples are taken a hair inside
+    each interval so breakpoints can sit exactly on jump discontinuities.
 
-    Returns (value, error_estimate).  Raises QuadratureError if a piece hits
-    max_depth with more unresolved error than its tolerance, or if an
-    unattainable tolerance makes the active set outgrow 2**20 intervals.
+    Returns (value, error_estimate), a tuple whose `pieces` attribute holds
+    the value of each piece between consecutive breakpoints.  Raises
+    QuadratureError if a piece hits max_depth with more unresolved error
+    than its tolerance, or if an unattainable tolerance makes the active set
+    outgrow 2**20 intervals.
     """
     if b <= a:
-        return 0.0, 0.0
-    evalf = _make_batch_eval(fn)
-    edges = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}))
-    lo = edges[:-1]
-    hi = edges[1:]
-    n_pieces = len(lo)
+        return _Integral(0.0, 0.0, ())
+    evalf = _evaluator(fn)
+    edges = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
+    n_pieces = len(edges) - 1
     share = abs_tol / n_pieces
-    eta = _EDGE_INSET * (hi - lo)
-    f3 = evalf(np.concatenate([lo + eta, 0.5 * (lo + hi), hi - eta]))
-    flo = f3[:n_pieces]
-    fmid = f3[n_pieces : 2 * n_pieces]
-    fhi = f3[2 * n_pieces :]
-    s = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    tol = np.full(n_pieces, share)
-    piece = np.arange(n_pieces)
-    total = 0.0
-    err_total = 0.0
-    unresolved = np.zeros(n_pieces)
+    lo, hi = edges[:-1], edges[1:]
+    eta = [_EDGE_INSET * (q - p) for p, q in zip(lo, hi)]
+    f3 = evalf(
+        [p + e for p, e in zip(lo, eta)]
+        + [0.5 * (p + q) for p, q in zip(lo, hi)]
+        + [q - e for q, e in zip(hi, eta)]
+    )
+    # active intervals: (lo, hi, f(lo), f(mid), f(hi), Simpson estimate, piece);
+    # all of them have the same depth and so the same tolerance
+    active = [
+        (p, q, x, y, z, (q - p) / 6.0 * (x + 4.0 * y + z), i)
+        for i, (p, q, x, y, z) in enumerate(zip(lo, hi, f3, f3[n_pieces:], f3[2 * n_pieces :]))
+    ]
+    tol, errs, unresolved = share, [], [0.0] * n_pieces
+    parts = [[] for _ in range(n_pieces)]  # accepted values per piece
     for depth in range(max_depth + 1):
-        mids = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mids)
-        rmid = 0.5 * (mids + hi)
-        fnew = evalf(np.concatenate([lmid, rmid]))
-        flm = fnew[: len(lo)]
-        frm = fnew[len(lo):]
-        s_left = (mids - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_right = (hi - mids) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = (s_left + s_right - s) / 15.0
-        done = np.abs(err) <= tol
-        if depth == max_depth:
-            unresolved += np.bincount(piece[~done], np.abs(err[~done]), n_pieces)
-            done = np.ones_like(done)
-        if done.any():
-            total += float((s_left[done] + s_right[done] + err[done]).sum())
-            err_total += float(np.abs(err[done]).sum())
-        keep = ~done
-        if not keep.any():
-            break
-        if 2 * int(keep.sum()) > _MAX_INTERVALS:
-            partial = total + float(s[keep].sum())
+        fnew = evalf(
+            [0.5 * (iv[0] + 0.5 * (iv[0] + iv[1])) for iv in active]
+            + [0.5 * (0.5 * (iv[0] + iv[1]) + iv[1]) for iv in active]
+        )
+        kept, open_err = [], 0.0
+        for (p, q, fp, fm, fq, s, i), fl, fr in zip(active, fnew, fnew[len(active) :]):
+            m = 0.5 * (p + q)
+            s_left = (m - p) / 6.0 * (fp + 4.0 * fl + fm)
+            s_right = (q - m) / 6.0 * (fm + 4.0 * fr + fq)
+            err = (s_left + s_right - s) / 15.0
+            if not abs(err) <= tol:
+                if depth < max_depth:
+                    kept += [(p, m, fp, fl, fm, s_left, i), (m, q, fm, fr, fq, s_right, i)]
+                    open_err += abs(err)
+                    continue
+                unresolved[i] += abs(err)
+            parts[i].append(s_left + s_right + err)
+            errs.append(abs(err))
+        if len(kept) > _MAX_INTERVALS:
             raise QuadratureError(
                 f"tolerance {abs_tol:g} unattainable: active subdivision count "
                 f"exceeded {_MAX_INTERVALS}",
-                partial_value=partial,
-                error_estimate=err_total + float(np.abs(err[keep]).sum()),
+                math.fsum([*map(math.fsum, parts), *(iv[5] for iv in kept)]),
+                math.fsum(errs) + open_err,
             )
-        lo = np.concatenate([lo[keep], mids[keep]])
-        hi = np.concatenate([mids[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        fmid = np.concatenate([flm[keep], frm[keep]])
-        s = np.concatenate([s_left[keep], s_right[keep]])
-        tol = np.concatenate([tol[keep] / 2.0, tol[keep] / 2.0])
-        piece = np.concatenate([piece[keep], piece[keep]])
-    if np.any(unresolved > share):
-        raise QuadratureError(
-            f"quadrature did not converge within depth {max_depth}",
-            partial_value=total,
-            error_estimate=err_total + float(unresolved.sum()),
-        )
-    return total, err_total + float(unresolved.sum())
+        active, tol = kept, tol / 2.0
+        if not active:
+            break
+    pieces = [math.fsum(v) for v in parts]
+    value = math.fsum(pieces)
+    err_total = math.fsum(errs) + math.fsum(unresolved)
+    if any(u > share for u in unresolved):
+        message = f"quadrature did not converge within depth {max_depth}"
+        raise QuadratureError(message, value, err_total)
+    return _Integral(value, err_total, tuple(pieces))
 
 
 def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
@@ -194,52 +210,31 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
     return adaptive_simpson(fn, a, b, cfg.abs_tol, cfg.max_depth, cfg.breakpoints)
 
 
-def bisect_root(fn, a: float, b: float, points: int = 1, ends=None) -> float:
-    """Sectioned bisection for a sign change of fn on [a, b].
+def bisect_root(fn, a: float, b: float, ends=None) -> float:
+    """Bisection for a sign change of fn on [a, b], one scalar point per round.
 
-    Each round evaluates fn at `points` equally spaced interior points of
-    the bracket in one call and keeps the first sub-bracket with a sign
-    change, until no representable interior point is left.  points=1 is
-    plain bisection on floats, so a scalar-only fn works and a round costs
-    no array work; more points suit an fn whose cost barely grows with the
-    number of points it is given.  ends, when given, holds (fn(a), fn(b)),
-    which the caller already has, so fn is not evaluated there again.
+    The bracket is halved on Python floats until no representable midpoint
+    is left, so a scalar-only fn works.  ends, when given, holds (fn(a),
+    fn(b)), which the caller already has, so fn is not evaluated there again.
     """
-    if points < 1:
-        raise ValueError(f"points must be at least 1, got {points!r}")
-    fa, fb = (fn(a), fn(b)) if ends is None else ends
-    fa, fb = float(fa), float(fb)
+    fa, fb = map(float, (fn(a), fn(b)) if ends is None else ends)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if fa * fb > 0:
         raise BisectionError("bisection needs a sign change")
-    w = np.arange(1, points + 1) / (points + 1)
     for _ in range(_BISECT_STEPS):
-        if points == 1:
-            m = 0.5 * (a + b)
-            if not a < m < b:
-                break  # the bracket is two adjacent floats; more rounds change nothing
-            xs, ys = [m], [float(fn(m))]
-            flips = [0] if fa * ys[0] <= 0.0 else []
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break  # the bracket is two adjacent floats; more rounds change nothing
+        fm = float(fn(m))
+        if fm == 0.0:
+            return m
+        if fa * fm <= 0.0:
+            b = m
         else:
-            # a + (b - a) * w rounds monotonically in w, so xs stays sorted
-            xs = a + (b - a) * w
-            xs = xs[(a < xs) & (xs < b)]
-            if not xs.size:
-                break
-            ys = np.asarray(fn(xs), dtype=float)
-            flips = np.flatnonzero(fa * ys <= 0.0)
-        if not len(flips):
-            a, fa = float(xs[-1]), float(ys[-1])
-            continue
-        i = flips[0]
-        if ys[i] == 0.0:
-            return float(xs[i])
-        b = float(xs[i])
-        if i:
-            a, fa = float(xs[i - 1]), float(ys[i - 1])
+            a, fa = m, fm
     return 0.5 * (a + b)
 
 
@@ -247,89 +242,89 @@ def _fold_kinks(f: PiecewiseDensity):
     """Images in (0, 1) of segment endpoints under folding; fn is non-smooth there."""
     kinks = set()
     for seg in f.segments:
+        width = seg.hi - seg.lo
         for e in (seg.lo, seg.hi):
-            t = e - _floor_snapped(e)
-            if _snap_int(t) is None and 0.0 < t < 1.0:
+            t = e - _snapped(e, width, math.floor)
+            if _snap_int(t, width) is None and 0.0 < t < 1.0:
                 kinks.add(t)
     return sorted(kinks)
 
 
-def _section_points(folded: FoldedDensity) -> int:
-    """Points per bisect_root round: many only where a call's cost is flat in them."""
-    return _SECTION_POINTS if folded.route == "closed-form" else 1
-
-
-def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points, section_points=1):
+def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     """Integral of |fn - level| from pts[0] to pts[-1], signs resolved per piece.
 
     Each interval between consecutive pts is scanned on a grid, and every
     sign change of fn - level between consecutive samples is refined by
-    bisect_root (with section_points per round) into a further breakpoint.
-    Samples within a roundoff floor of level (_ROUNDOFF_FLOOR times the
-    values' magnitude) are skipped, so a function equal to level up to
-    roundoff has no crossings; the area the floor can hide, floor times
-    width, goes into the error estimate.  |fn - level| is then integrated
-    over all sign-resolved pieces in one adaptive_simpson run.
-
-    Returns (value, error_estimate, number of sign-resolved pieces).
+    bisect_root into a further breakpoint.  Samples within a roundoff floor
+    of level (_ROUNDOFF_FLOOR times the values' magnitude) are skipped, so a
+    function equal to level up to roundoff has no crossings; the area the
+    floor can hide, floor times width, goes into the error estimate.
+    |fn - level| is then integrated over all sign-resolved pieces in one
+    adaptive_simpson run.  Returns (value, error_estimate, pieces, signed
+    integral of fn - level), the last from each piece's value with the sign
+    of its scan samples (0 where they all sit within the floor).
     """
+    evalf = _evaluator(fn)
+    f = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
 
     def g(x):
-        return np.asarray(fn(x), dtype=float) - level
+        return f(x) - level
 
-    evalg = _make_batch_eval(g)
-    bounds = [pts[0]]
-    err = 0.0
+    bounds, signs, err = [pts[0]], [], 0.0
+
+    def close(x, y):
+        # end the current piece at x, signed as its scan samples y; none is
+        # empty, though a scan end may round onto a breakpoint and its jump
+        if x > bounds[-1]:
+            bounds.append(x)
+            signs.append(math.copysign(1.0, y) if y else 0.0)
+
     for p, q in zip(pts, pts[1:]):
         inset = _EDGE_INSET * (q - p)
-        xs = np.linspace(p + inset, q - inset, scan_points)
-        ys = evalg(xs)
-        floor = _ROUNDOFF_FLOOR * (abs(level) + float(np.max(np.abs(ys))))
-        above = np.abs(ys) > floor
-        xs, ys = xs[above], ys[above]
-        neg = ys < 0
-        for i in np.flatnonzero(neg[:-1] != neg[1:]):
-            root = bisect_root(
-                g, float(xs[i]), float(xs[i + 1]), section_points, ends=(ys[i], ys[i + 1])
-            )
-            bounds.append(root)
-        bounds.append(q)
+        xs = _linspace(p + inset, q - inset, scan_points)
+        ys = [y - level for y in evalf(xs)]
+        floor = _ROUNDOFF_FLOOR * (abs(level) + max(map(abs, ys)))
+        side = [(x, y) for x, y in zip(xs, ys) if abs(y) > floor]
+        for (x0, y0), (x1, y1) in zip(side, side[1:]):
+            if (y0 < 0) != (y1 < 0):
+                close(bisect_root(g, x0, x1, ends=(y0, y1)), y0)
+        close(q, side[-1][1] if side else 0.0)
         err += floor * (q - p)
     # inside a sign-resolved piece |g| differs from g only in sign, so the
-    # Simpson decisions are those of integrating g piece by piece
-    value, e = adaptive_simpson(
-        lambda x: np.abs(g(x)), bounds[0], bounds[-1], abs_tol, max_depth, bounds[1:-1]
-    )
-    return value, err + e, len(bounds) - 1
+    # Simpson decisions are those of integrating g piece by piece; |g| keeps
+    # fn's route, which decides how Simpson evaluates it
+    absg = FoldedDensity(lambda x: abs(g(x)), getattr(fn, "route", "callable"))
+    value, e = result = adaptive_simpson(absg, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1])
+    signed = math.fsum(s * v for s, v in zip(signs, result.pieces))
+    return value, err + e, len(bounds) - 1, signed
 
 
-def delta_numeric(
-    f: PiecewiseDensity, n: int, cfg: QuadratureConfig | None = None
-) -> OracleResult:
+def delta_numeric(f: PiecewiseDensity, n: int, cfg: QuadratureConfig | None = None) -> OracleResult:
     """Distance of n*X mod 1 from uniform, by direct L1 quadrature.
 
     Folds the scaled density, forces breakpoints at the fold images of
     segment endpoints, splits again at crossings of 1 found by bisection,
     and integrates |f_n - 1| over the sign-resolved pieces in one Simpson run.
+    The same run's signed piece values give the integral of f_n - 1, which
+    is 0 for a density of mass 1; where it is not, within max(10 * error
+    estimate, 1e-9), the quadrature missed part of the fold and
+    QuadratureError is raised.
     """
     n = _require_positive_int(n)
     cfg = cfg or QuadratureConfig()
     scaled = scale_density(f, float(n))
     folded = fold_mod1(scaled)
     kinks = _fold_kinks(scaled)
-    pieces = sorted({0.0, 1.0, *kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
-    value, err, n_pieces = _abs_deviation(
-        folded, 1.0, pieces, cfg.abs_tol, cfg.max_depth, 65, _section_points(folded)
+    pts = sorted({0.0, 1.0, *kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
+    value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, cfg.max_depth, 65)
+    if abs(signed) > max(10.0 * err, 1e-9):
+        message = f"fold mass is off by {signed:.3g}: the quadrature missed part of the fold"
+        raise QuadratureError(message, 0.5 * value, 0.5 * err)
+    detail = (
+        f"adaptive Simpson, n={n}, {n_pieces} sign-resolved pieces, "
+        f"{len(kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, fold {folded.route}"
     )
-    return OracleResult(
-        value=0.5 * value,
-        error_estimate=0.5 * err,
-        method="quadrature_L1",
-        detail=(
-            f"adaptive Simpson, n={n}, {n_pieces} sign-resolved pieces, "
-            f"{len(kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, fold {folded.route}"
-        ),
-    )
+    return OracleResult(0.5 * value, 0.5 * err, "quadrature_L1", detail)
 
 
 def delta_crossing_unimodal(
@@ -345,43 +340,29 @@ def delta_crossing_unimodal(
     cfg = cfg or QuadratureConfig()
 
     def g(t):
-        return np.asarray(folded(t), dtype=float) - 1.0
+        return folded(t) - 1.0
 
-    a = _EDGE_INSET
-    b = 1.0 - _EDGE_INSET
-    ga = float(g(a))
-    gb = float(g(b))
+    a, b = _EDGE_INSET, 1.0 - _EDGE_INSET
+    ga, gb = float(g(a)), float(g(b))
     if ga * gb >= 0:
         # no strict sign change: a monotone density with unit mass must then
         # be flat at 1, otherwise the monotonicity certificate is wrong
-        dev = float(np.max(np.abs(_make_batch_eval(g)(np.linspace(a, b, 257)))))
+        dev = max(abs(y - 1.0) for y in _evaluator(folded)(_linspace(a, b, 257)))
         if dev < 1e-6:
-            return OracleResult(
-                value=0.0,
-                error_estimate=dev,
-                method="crossing_point",
-                detail=(
-                    "no crossing of 1; density is uniform within grid tolerance, "
-                    f"fold {folded.route}"
-                ),
-            )
+            detail = "no crossing of 1; density is uniform within grid tolerance"
+            detail += f", fold {folded.route}"
+            return OracleResult(0.0, dev, "crossing_point", detail)
         raise ValueError(
             "folded density never crosses 1 but is not uniform; "
             "strict monotonicity hypothesis looks violated"
         )
-    t0 = bisect_root(g, a, b, _section_points(folded), ends=(ga, gb))
+    t0 = bisect_root(g, a, b, ends=(ga, gb))
     cdf_t0, err = integrate(folded, 0.0, t0, cfg)
-    return OracleResult(
-        value=abs(t0 - cdf_t0),
-        error_estimate=err,
-        method="crossing_point",
-        detail=f"t0={t0:.15f}, cdf(t0)={cdf_t0:.15f}, fold {folded.route}",
-    )
+    detail = f"t0={t0:.15f}, cdf(t0)={cdf_t0:.15f}, fold {folded.route}"
+    return OracleResult(abs(t0 - cdf_t0), err, "crossing_point", detail)
 
 
-def delta_monte_carlo(
-    sampler, n: int, samples: int, bins: int, seed: int
-) -> OracleResult:
+def delta_monte_carlo(sampler, n: int, samples: int, bins: int, seed: int) -> OracleResult:
     """Histogram estimate of the distance of n*X mod 1 from uniform.
 
     sampler(rng, size) must return `size` i.i.d. draws of X.  The value is
@@ -392,9 +373,7 @@ def delta_monte_carlo(
     if not (samples >= 1 and bins >= 1):
         raise ValueError("samples and bins must be positive")
     if samples < bins * bins:
-        raise ValueError(
-            f"need samples >= bins**2 for a stable histogram ({samples} < {bins**2})"
-        )
+        raise ValueError(f"need samples >= bins**2 for a stable histogram ({samples} < {bins**2})")
     rng = np.random.default_rng(seed)
     draws = np.asarray(sampler(rng, samples), dtype=float)
     if draws.shape != (samples,):
@@ -492,9 +471,7 @@ def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = No
     total, err_mean = integrate(fn, a, b, cfg)
     y = total / (b - a)
     pts = sorted({a, b, *(p for p in cfg.breakpoints if a < p < b)})
-    residual, err, _ = _abs_deviation(
-        fn, y, pts, cfg.abs_tol, cfg.max_depth, scan_points=129
-    )
+    residual, err, _, _ = _abs_deviation(fn, y, pts, cfg.abs_tol, cfg.max_depth, 129)
     return residual, y, err_mean + err
 
 

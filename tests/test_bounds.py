@@ -474,6 +474,27 @@ def test_scales_and_n_take_one_argument_rule():
             bf.delta_numeric(f, n)
 
 
+def test_tv_scaled_overflow_is_a_numerical_failure():
+    # TV/(4n) with a tiny real scale overflows: no information, not bad input
+    f = bf.uniform_density(0, 1)
+    with pytest.raises(VacuousBoundError, match="not finite"):
+        bf.bound_tv_scaled(f, 1e-320)
+    assert bf.bound_tv_scaled(f, 1e-300).value == 2.0 / (4.0 * 1e-300)
+
+
+@pytest.mark.parametrize("lo, hi", ((0.0, 1e-13), (3.0, 3.0 + 1e-12), (0.0, 1e-300)))
+def test_narrow_support_keeps_its_cell(lo, hi):
+    # both ends lie within the integer-snapping slack of one integer; the
+    # support still delineates a whole cell and the distance is ~1, so no
+    # certified bound may read less
+    f = bf.uniform_density(lo, hi)
+    assert f.delineated_interval() == (lo, lo + 1)
+    reports = [bf.bound_step_density(f), bf.bound_tv_quarter(f), bf.bound_tv_scaled(f, 1)]
+    assert all(r.value >= 1.0 - 1e-6 for r in reports), reports
+    with pytest.raises(DensityError, match="jump to zero"):
+        bf.bound_convex_eighth(f)
+
+
 def test_folded_cdf_endpoints_and_monotonicity():
     assert bf.folded_cdf_uniform(10, 1, 0.0) == 0.0
     assert bf.folded_cdf_uniform(10, 1, 1.0) == pytest.approx(1.0, rel=1e-15)

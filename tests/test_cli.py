@@ -11,6 +11,7 @@ import pytest
 
 import benfold as bf
 import benfold.cli as cli
+import benfold.oracle as oracle
 from benfold.bounds import VacuousBoundError
 from benfold.density import DensityError
 from benfold.oracle import BisectionError
@@ -171,6 +172,14 @@ def test_vacuous_bound_exits_3(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_tv_scaled_overflow_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--density", "uniform 0 1", "--method", "tv_scaled", "--n", "1e-320"
+    )
+    assert code == 3
+    assert "numerical failure" in err and "not finite" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # exact
 # ---------------------------------------------------------------------------
@@ -255,6 +264,23 @@ def test_oracle_at_one_million(capsys):
     assert "fold closed-form" in out
 
 
+@pytest.mark.parametrize("hi", ("1e-13", "3.000000000001"))
+def test_oracle_narrow_support_reads_one(capsys, hi):
+    lo = "0" if hi == "1e-13" else "3"
+    code, out, _ = run_cli(capsys, "oracle", "--density", f"uniform {lo} {hi}", "--n", "1")
+    assert code == 0
+    assert "value=1.0000000" in out
+
+
+def test_oracle_mass_check_exits_3(capsys, monkeypatch):
+    # the fold kink of the narrow support dropped, as integer snapping once
+    # did: the signed piece values no longer sum to 0
+    monkeypatch.setattr(oracle, "_fold_kinks", lambda f: [])
+    code, _, err = run_cli(capsys, "oracle", "--density", "uniform 0 1e-13", "--n", "1")
+    assert code == 3
+    assert "numerical failure" in err and "mass" in err
+
+
 def test_oracle_bisection_failure_exits_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise BisectionError("bisection needs a sign change")
@@ -308,7 +334,8 @@ def test_table_and_exact_do_not_import_numpy():
     assert "CODES [0, 0, 0, 0] LOADED []" in out
 
 
-def test_bound_on_builtin_densities_does_not_import_numpy(tmp_path, capsys):
+def _segments_file(tmp_path):
+    """A piecewise file of one const, one linear and one exp segment."""
     amp = 0.35 / (math.exp(-1.5) - math.exp(-2.5))
     spec = [
         {"lo": 0.0, "hi": 0.5, "kind": "const", "params": {"value": 0.5}},
@@ -317,13 +344,17 @@ def test_bound_on_builtin_densities_does_not_import_numpy(tmp_path, capsys):
     ]
     path = tmp_path / "segments.json"
     path.write_text(json.dumps(spec))
+    return path
+
+
+def test_bound_on_builtin_densities_does_not_import_numpy(tmp_path, capsys):
     densities = (
         "uniform-log b=10",
         "exp-on-unit b=10",
         "triangular 0 1 2",
         "uniform 0 2",
         "uniform 0.25 1.75",
-        f"piecewise {path}",
+        f"piecewise {_segments_file(tmp_path)}",
     )
     runs = [
         ["bound", "--density", d, "--method", m, "--n", n]
@@ -348,15 +379,43 @@ def test_bound_on_builtin_densities_does_not_import_numpy(tmp_path, capsys):
     assert "NUMPY False" in out
 
 
-def test_oracle_still_loads_numpy():
+def test_oracle_on_builtin_densities_does_not_import_numpy(tmp_path):
+    # the five density kinds of the CLI, each folded in closed form
+    densities = (
+        "uniform 0.25 1.75",
+        "uniform-log b=10",
+        "exp-on-unit b=10",
+        "triangular 0 1 2",
+        f"piecewise {_segments_file(tmp_path)}",
+    )
+    runs = [["oracle", "--density", d, "--n", n] for d in densities for n in ("1", "3", "1000")]
     out = _run_python(
         "import contextlib, io, sys\n"
         "from benfold.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv)\n"
+        "    print('RUN', code, buf.getvalue().split('unrounded: ')[1].split()[0])\n"
+        "print('NUMPY', 'numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['oracle', '--density', 'uniform-log b=10', '--n', '3'])\n"
-        "print('ORACLE', code, 'numpy' in sys.modules)\n"
+        "    code = main(['oracle', '--density', 'uniform 0 1', '--n', '3', '--engine', 'mc',\n"
+        "                 '--samples', '10000', '--bins', '10'])\n"
+        "print('MC', code, 'numpy' in sys.modules)\n"
     )
-    assert "ORACLE 0 True" in out
+    # the CLI prints the very value the library computes in a process that
+    # has numpy loaded
+    want = [f"RUN 0 {cli.run_oracle(d, int(n)).value!r}" for _, _, d, _, n in runs]
+    assert out.splitlines()[: len(runs)] == want
+    assert "NUMPY False" in out
+    assert "MC 0 True" in out
+    out = _run_python(
+        "import sys\n"
+        "import benfold as bf\n"
+        "f = bf.PiecewiseDensity((bf.Segment(0.0, 1.0, lambda x: 0.5 + x),))\n"
+        "print('CUSTOM', bf.delta_numeric(f, 3).method, 'numpy' in sys.modules)\n"
+    )
+    assert "CUSTOM quadrature_L1 True" in out
 
 
 def test_bound_and_oracle_load_their_modules_on_first_use():
@@ -370,8 +429,8 @@ def test_bound_and_oracle_load_their_modules_on_first_use():
         "print('BOUND', main(['bound', '--density', 'triangular 0 1 2', '--method', 'tv_quarter']), loaded())\n"
     )
     assert "START []" in out
-    assert "ORACLE 0 ['numpy', 'benfold.density', 'benfold.oracle']" in out
-    assert "BOUND 0 ['numpy', 'benfold.density', 'benfold.bounds', 'benfold.oracle']" in out
+    assert "ORACLE 0 ['benfold.density', 'benfold.oracle']" in out
+    assert "BOUND 0 ['benfold.density', 'benfold.bounds', 'benfold.oracle']" in out
 
 
 def test_package_names_resolve_lazily_to_one_object():

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
@@ -108,7 +108,7 @@ def test_bisect_root_stops_at_adjacent_floats():
 
 
 def _plain_bisection(fn, a, b):
-    """Bisection as a loop of scalar halvings: the reference for points=1."""
+    """Bisection as a loop of scalar halvings: the reference for bisect_root."""
     fa = float(fn(a))
     fb = float(fn(b))
     if fa == 0.0:
@@ -148,7 +148,7 @@ def _recording(fn, log):
     ],
 )
 def test_bisect_root_one_point_is_plain_bisection(fn, a, b):
-    # the default takes the same scalar steps as a loop of halvings, so a
+    # bisect_root takes the same scalar steps as a loop of halvings, so a
     # scalar-only fn works and the root is the same float
     got, want = [], []
     root = bisect_root(_recording(fn, got), a, b)
@@ -158,96 +158,26 @@ def test_bisect_root_one_point_is_plain_bisection(fn, a, b):
     assert len(got) < 60
 
 
-def test_bisect_root_needs_a_point_per_round():
-    with pytest.raises(ValueError, match="points"):
-        bisect_root(lambda x: x - 0.5, 0.0, 1.0, 0)
-
-
-def _fold_brackets(seed, n):
-    """Sign-change brackets of a closed-form fold minus 1 on the grid k/64, k >= 1."""
-    folded = bf.fold_mod1(bf.scale_density(random_density(np.random.default_rng(seed)), n))
-    assert folded.route == "closed-form"
-
-    def g(x):
-        return np.asarray(folded(x), dtype=float) - 1.0
-
-    xs = np.linspace(1.0 / 64.0, 1.0, 64)
-    ys = g(xs)
-    return g, [
-        (float(xs[i]), float(xs[i + 1]))
-        for i in np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
-    ]
-
-
-# monotone u; the property solves u(x) = u(root)
-_MONOTONE = (
-    lambda x: np.asarray(x, dtype=float),
-    lambda x: np.exp(3.0 * np.asarray(x, dtype=float)),
-    lambda x: -np.asarray(x, dtype=float) ** 3,
-    lambda x: np.tanh(40.0 * (np.asarray(x, dtype=float) - 0.5)),
-)
-
-
-def _same_root(fn, x, y, level):
-    """x and y are within 2 ulp, or fn is zero up to the roundoff of level between them.
-
-    Where fn's values are quantized to ulps of the level it was shifted by,
-    fn is exactly 0 on a run of floats, and any of them is a root.
-    """
-    if abs(x - y) <= 2.0 * math.ulp(y):
-        return True
-    between = np.linspace(min(x, y), max(x, y), 257)
-    return float(np.max(np.abs(fn(between)))) <= 16.0 * math.ulp(max(abs(level), 1.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=1, max_value=50),
-    family=st.integers(min_value=0, max_value=len(_MONOTONE) - 1),
-    root=st.floats(min_value=1.0 / 32.0, max_value=1.0),
-    offset=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-)
-def test_sectioned_root_matches_bisection(seed, n, family, root, offset):
-    # on closed-form folds and simple monotone functions, 255 points per round
-    # find the root plain bisection finds and need few calls from a bracket
-    # as wide as the oracle's scan step
-    g, brackets = _fold_brackets(seed, n)
-    u = _MONOTONE[family]
-    level = float(u(root))
-    a = root - offset / 64.0
-    b = a + 1.0 / 64.0
-    cases = [(g, p, q, 1.0) for p, q in brackets]
-    if (float(u(a)) - level) * (float(u(b)) - level) < 0.0:
-        cases.append((lambda x: u(x) - level, a, b, level))
-    assume(cases)
-    for fn, p, q, lvl in cases:
-        calls = []
-        sectioned = bisect_root(_recording(fn, calls), p, q, 255)
-        plain = bisect_root(fn, p, q)
-        assert _same_root(fn, sectioned, plain, lvl), (sectioned, plain)
-        assert len(calls) <= 10
-
-
 def test_custom_fold_bisects_one_point_per_round(monkeypatch):
-    # a translate-sum fold costs points x translates, so its crossings are
-    # refined one scalar point per round; a closed-form fold takes many
+    # crossings are refined one scalar point per round on every fold: a
+    # translate-sum fold costs points x translates, and a closed-form fold
+    # evaluates one point in math for less than numpy's per-call overhead
     rounds = []
     real = oracle.bisect_root
 
-    def counting(fn, a, b, points=1, ends=None):
+    def counting(fn, a, b, ends=None):
         calls = []
-        root = real(_recording(fn, calls), a, b, points, ends)
-        rounds.append([np.size(x) for x in calls])
+        root = real(_recording(fn, calls), a, b, ends)
+        rounds.append(calls)
         return root
 
     monkeypatch.setattr(oracle, "bisect_root", counting)
     f = bf.uniform_log_density(10)
-    bf.delta_numeric(custom_twin_density(f), 7)
-    assert rounds and all(set(sizes) == {1} and len(sizes) <= 60 for sizes in rounds)
-    rounds.clear()
-    bf.delta_numeric(f, 7)
-    assert rounds and all(max(sizes) == oracle._SECTION_POINTS and len(sizes) <= 10 for sizes in rounds)
+    for density in (custom_twin_density(f), f):
+        rounds.clear()
+        bf.delta_numeric(density, 7)
+        assert rounds
+        assert all(len(calls) <= 60 and all(type(x) is float for x in calls) for calls in rounds)
 
 
 def test_integrate_is_one_batched_simpson_run():
@@ -288,6 +218,37 @@ def test_batched_simpson_failing_piece_raises_with_partial_value():
     err = exc_info.value
     assert err.partial_value == pytest.approx(good + alone.value.partial_value, rel=1e-14)
     assert err.error_estimate > 1e-10
+
+
+def test_simpson_evaluates_each_probe_point_once():
+    # a callable is probed on its first sample: one that returns a numpy
+    # scalar then gets the rest of each level in one call, one that returns a
+    # Python float gets point by point; both sample the same points once
+    cfg = QuadratureConfig(abs_tol=1e-12, breakpoints=(0.2, 0.55))
+    batched, pointwise = [], []
+    vec = bf.integrate(_recording(lambda x: 1.0 / (1.0 + np.asarray(x) * x), batched), -1.0, 2.0, cfg)
+    one = bf.integrate(_recording(lambda x: 1.0 / (1.0 + x * x), pointwise), -1.0, 2.0, cfg)
+    assert vec == one
+    assert vec[0] == pytest.approx(math.atan(2.0) + math.atan(1.0), abs=1e-12)
+    assert all(type(x) is float for x in pointwise) and len(set(pointwise)) == len(pointwise)
+    assert [x for xs in batched for x in np.atleast_1d(xs)] == pointwise
+    assert type(batched[0]) is float and len(batched) < 30
+
+
+def test_simpson_on_folds_follows_the_route(monkeypatch):
+    # a closed-form fold is evaluated at Python floats, a translate-sum fold
+    # on one array per level; both get the same pieces and values
+    f = bf.scale_density(bf.uniform_log_density(10), 3)
+    seen = {}
+    for folded in (bf.fold_mod1(f), bf.fold_mod1(custom_twin_density(f))):
+        calls = []
+        traced = bf.FoldedDensity(_recording(folded.fn, calls), folded.route)
+        seen[folded.route] = (calls, oracle.integrate(traced, 0.0, 1.0))
+    (closed, (v1, e1)), (summed, (v2, e2)) = seen["closed-form"], seen["translate-sum"]
+    assert all(type(x) is float for x in closed)
+    assert all(isinstance(x, np.ndarray) for x in summed) and len(summed) < 30
+    assert sum(np.size(x) for x in summed) == len(closed)
+    assert v1 == pytest.approx(v2, abs=1e-12) and v1 == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +314,81 @@ def test_delta_numeric_huge_base(b, n):
     # it reads 0 everywhere and the oracle reports 0.5
     r = bf.delta_numeric(bf.uniform_log_density(b), n)
     assert r.value == pytest.approx(bf.exact_delta_uniform(b, n).value, abs=1e-8)
+
+
+@pytest.mark.parametrize("lo, hi", ((0.0, 1e-13), (3.0, 3.0 + 1e-12)))
+def test_delta_numeric_narrow_support_at_an_integer(lo, hi):
+    # both ends lie within the integer-snapping slack of one integer; the
+    # narrow segment keeps its fold kink, so the tall piece is integrated
+    r = bf.delta_numeric(bf.uniform_density(lo, hi), 1)
+    assert r.value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_mass_check_catches_missed_mass(monkeypatch):
+    # without the kink at 1e-13 the scan never samples the tall piece and
+    # |f_1 - 1| reads 1 everywhere, half the truth; the signed piece values
+    # then sum to -1 instead of 0
+    monkeypatch.setattr(oracle, "_fold_kinks", lambda f: [])
+    with pytest.raises(bf.QuadratureError, match="mass") as exc_info:
+        bf.delta_numeric(bf.uniform_density(0.0, 1e-13), 1)
+    assert exc_info.value.partial_value == pytest.approx(0.5, abs=1e-9)
+
+
+def test_mass_check_when_a_crossing_lands_on_a_kink():
+    # fold kinks at 0.53880 and 0.53885: the last scan sample before the
+    # second rounds onto it and meets the jump there, which bisection puts
+    # on the kink itself; the empty piece must not shift the later pieces'
+    # signs (they once summed to a mass error of 0.051)
+    f = bf.normalized(
+        (
+            bf.linear_segment(0.0, 0.5388541151295063, 0.24979844771865112, 0.294074953052855),
+            bf.linear_segment(0.5388541151295063, 3.5388002169779202, -0.010283231783065658, 1.2670462528259088),
+            bf.const_segment(3.5388002169779202, 3.7540288412803102, 1.14839149988644),
+        )
+    )
+    r = bf.delta_numeric(f, 1)
+    assert "4 sign-resolved pieces" in r.detail
+    assert r.value == pytest.approx(bf.delta_numeric(custom_twin_density(f), 1).value, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=1000),
+)
+def test_mass_check_never_fires_on_random_density(seed, n):
+    # QuadratureError would be raised if the signed integral of f_n - 1 were
+    # off by more than max(10 * error estimate, 1e-9)
+    r = bf.delta_numeric(random_density(np.random.default_rng(seed)), n)
+    assert 0.0 <= r.value <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from((0.0, 3.0)),
+    log_w=st.floats(min_value=-300.0, max_value=-9.0),
+)
+def test_narrow_support_is_far_from_uniform(k, log_w):
+    # X uniform on [k, k + w] folds to a spike of width w: the distance is
+    # 1 - w, every certified bound must reach it, and the oracle finds it or
+    # raises a typed error
+    try:
+        f = bf.uniform_density(k, k + 10.0**log_w)
+    except bf.DensityError:
+        return  # k + w rounds to k
+    for bound in (bf.bound_step_density, bf.bound_tv_quarter, bf.bound_convex_eighth):
+        try:
+            report = bound(f)
+        except (bf.DensityError, bf.VacuousBoundError):
+            continue  # refused
+        if _certified(report):
+            assert report.value >= 1.0 - 1e-6, report
+    assert bf.bound_tv_scaled(f, 1).value >= 1.0 - 1e-6
+    try:
+        value = bf.delta_numeric(f, 1).value
+    except (bf.QuadratureError, bf.BisectionError):
+        return
+    assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_delta_numeric_detail_names_fold_route():
