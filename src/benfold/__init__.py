@@ -5,8 +5,8 @@ n*X mod 1 from the uniform distribution on [0, 1) (equivalently, how far is
 the significand of X**n from its logarithmic limit)?  `closed` holds the
 log-uniform closed forms in the standard library only; `density` represents
 piecewise-smooth densities and their variation and `bounds` computes upper
-bounds for any of them; `oracle` provides the independent numerical ground
-truth used to validate every bound.
+bounds for any of them; `oracle` folds densities modulo 1 and provides the
+independent numerical ground truth used to validate every bound.
 
 The public names below are loaded on first access (PEP 562), so importing
 the package, or using only the closed forms, does not import numpy.
@@ -28,10 +28,9 @@ _EXPORTS = {
         "closed",
     ),
     **dict.fromkeys(
-        "FoldedDensity PiecewiseDensity Segment const_segment exp_segment fold_mod1 "
-        "grid_variation linear_segment normalized scale_density significand "
-        "triangular_density tv_full_line tv_integer_delineated uniform_density "
-        "uniform_log_density".split(),
+        "PiecewiseDensity Segment const_segment exp_segment grid_variation linear_segment "
+        "normalized scale_density significand triangular_density tv_full_line "
+        "tv_integer_delineated uniform_density uniform_log_density".split(),
         "density",
     ),
     **dict.fromkeys(
@@ -40,10 +39,10 @@ _EXPORTS = {
         "bounds",
     ),
     **dict.fromkeys(
-        "BisectionError OracleResult QuadratureConfig QuadratureError adaptive_simpson "
-        "averaging_residual check_averaging_inequality delta_crossing_unimodal "
-        "delta_monte_carlo delta_numeric integrate inverse_cdf_sampler "
-        "uniform_log_sampler uniform_sampler".split(),
+        "BisectionError FoldedDensity OracleResult QuadratureConfig QuadratureError "
+        "adaptive_simpson averaging_residual check_averaging_inequality "
+        "delta_crossing_unimodal delta_monte_carlo delta_numeric fold_mod1 integrate "
+        "inverse_cdf_sampler uniform_log_sampler uniform_sampler".split(),
         "oracle",
     ),
 }

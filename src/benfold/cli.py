@@ -7,13 +7,10 @@ input error, 3 numerical failure (vacuous bound, quadrature breakdown).
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import io
-import json
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from . import _EXPORTS, __version__
 from .closed import (
@@ -22,6 +19,7 @@ from .closed import (
     DensityError,
     ExactUniformParams,
     VacuousBoundError,
+    _Record,
     bound_fourier_closed,
     bound_uniform_log_tv,
     exact_delta_uniform,
@@ -30,6 +28,8 @@ from .closed import (
 # The numpy-backed modules are loaded by _load on first use, so `table` and
 # `exact` never import numpy.  The code below calls their functions as
 # globals of this module, which is also where a wrapper set on it takes effect.
+# json and csv are imported where used: only `--format json|csv` and piecewise
+# files need them.
 
 
 def _load(module: str) -> None:
@@ -52,21 +52,18 @@ def __getattr__(name):
 DEFAULT_NS = (1, 2, 3, 4, 5, 8, 10, 20, 50, 100, 1000)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(_Record):
     """One comparison row: exact distance vs the two closed-form bounds."""
 
-    n: int
-    exact: float
-    tv_bound: float
-    fourier_bound: float
+    __slots__ = _fields = ("n", "exact", "tv_bound", "fourier_bound")
 
-    def __post_init__(self):
-        vals = (self.exact, self.tv_bound, self.fourier_bound)
+    def __init__(self, n: int, exact: float, tv_bound: float, fourier_bound: float):
+        vals = (exact, tv_bound, fourier_bound)
         if not all(0.0 <= v < 1.0 for v in vals):
             raise VacuousBoundError(f"table row out of [0, 1): {vals}")
-        if not (self.exact <= self.tv_bound < self.fourier_bound):
-            raise VacuousBoundError(f"ordering chain violated in row n={self.n}: {vals}")
+        if not (exact <= tv_bound < fourier_bound):
+            raise VacuousBoundError(f"ordering chain violated in row n={n}: {vals}")
+        self._set(n=n, exact=exact, tv_bound=tv_bound, fourier_bound=fourier_bound)
 
 
 def table(b: float = 10.0, ns=DEFAULT_NS) -> list[TableRow]:
@@ -99,6 +96,8 @@ def render_text(rows: list[TableRow], digits: int = 7) -> str:
 
 
 def render_csv(rows: list[TableRow]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "exact", "tv_bound", "fourier_bound"])
@@ -110,6 +109,8 @@ def render_csv(rows: list[TableRow]) -> str:
 
 
 def render_json(rows: list[TableRow], b: float) -> str:
+    import json
+
     payload = {
         "metadata": {
             "base": b,
@@ -197,6 +198,8 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
     Each record: {lo, hi, kind: "const"|"linear"|"exp", params,
     monotonicity?, convexity?}.  Flags default to what the kind implies.
     """
+    import json
+
     _load("density")
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -223,11 +226,8 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
         mono = entry.get("monotonicity")
         conv = entry.get("convexity")
         if mono or conv:
-            seg = replace(
-                seg,
-                monotonicity=mono or seg.monotonicity,
-                convexity=conv or seg.convexity,
-            )
+            mono, conv = mono or seg.monotonicity, conv or seg.convexity
+            seg = Segment(seg.lo, seg.hi, None, mono, conv, seg.kind, seg.params)
         segments.append(seg)
     return PiecewiseDensity(tuple(segments))
 

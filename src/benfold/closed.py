@@ -3,16 +3,16 @@
 For X = log_b(U[1, b]) the distance of the a-th power's fold from uniform,
 the folded CDF, the Fourier coefficients and the two closed-form bounds
 ln(b)/(8n) and ln(b)/(2*sqrt(12)*n) are elementary expressions in `math`.
-This module holds them together with the report type and the errors they
-raise, so `benfold table` and `benfold exact` run without importing numpy.
-`bounds` and `density` re-export these names.
+This module holds them together with the report type, the errors they
+raise and `_Record`, the record base that spares the result and density
+types `dataclasses`, so `benfold table` and `benfold exact` run without
+importing numpy.  `bounds` and `density` re-export these names.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 METHODS = (
     "step_density",
@@ -36,24 +36,68 @@ class VacuousBoundError(RuntimeError):
     """The requested bound or value carries no information in floating point."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class _Record:
+    """Immutable record, a frozen dataclass without the cost of making one.
+
+    A subclass names its fields in _fields, lists them and any cached
+    internals in __slots__, and sets them once in __init__ through _set.
+    Equality, hash and repr read the fields only; assignment raises
+    AttributeError; pickling and copying restore every slot as it is.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return _restore, (type(self), {name: getattr(self, name) for name in self.__slots__})
+
+
+def _restore(cls, slots):
+    record = object.__new__(cls)
+    record._set(**slots)
+    return record
+
+
+class BoundReport(_Record):
     """One computed upper bound (or exact value) with its provenance."""
 
-    method: str
-    value: float
-    hypotheses_verified: tuple[str, ...]
-    n: float = 1.0
-    b: float | None = None
+    __slots__ = _fields = ("method", "value", "hypotheses_verified", "n", "b")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"bound value must be finite and nonnegative, got {self.value!r}")
-        if self.method == "exact_uniform" and not self.value < 1.0:
+    def __init__(
+        self, method: str, value: float, hypotheses_verified, n: float = 1.0, b: float | None = None
+    ):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"bound value must be finite and nonnegative, got {value!r}")
+        if method == "exact_uniform" and not value < 1.0:
             raise ValueError("exact distance must lie in [0, 1)")
-        object.__setattr__(self, "hypotheses_verified", tuple(self.hypotheses_verified))
+        hypotheses = tuple(hypotheses_verified)
+        self._set(method=method, value=value, hypotheses_verified=hypotheses, n=n, b=b)
 
 
 def _as_real(x) -> float:
@@ -147,8 +191,7 @@ def _mean_growth_minus_one(h: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ExactUniformParams:
+class ExactUniformParams(_Record):
     """Derived quantities for the exact log-uniform distance.
 
     x = b**(1/a) is the fold's growth factor, u = (x-1)/ln(x) the mean value
@@ -156,28 +199,19 @@ class ExactUniformParams:
     folded density equals 1.  b and a are stored as floats.
     """
 
-    b: float
-    a: float
-    x: float = 0.0
-    u: float = 0.0
-    t0: float = 0.0
+    __slots__ = _fields = ("b", "a", "x", "u", "t0")
 
-    def __post_init__(self):
-        b = _require_base(self.b)
-        a = _require_exponent(self.a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
+    def __init__(self, b: float, a: float):
+        b = _require_base(b)
+        a = _require_exponent(a)
         h = math.log(b) / a  # = ln x
         if h > 700.0:
             # x overflows; only the asymptotic distance is representable
-            object.__setattr__(self, "x", math.inf)
-            object.__setattr__(self, "u", math.inf)
-            object.__setattr__(self, "t0", 1.0 - math.log(h) / h if h < math.inf else 1.0)
+            t0 = 1.0 - math.log(h) / h if h < math.inf else 1.0
+            self._set(b=b, a=a, x=math.inf, u=math.inf, t0=t0)
             return
         v = _mean_growth_minus_one(h)
-        object.__setattr__(self, "x", 1.0 + math.expm1(h))
-        object.__setattr__(self, "u", 1.0 + v)
-        object.__setattr__(self, "t0", math.log1p(v) / h)
+        self._set(b=b, a=a, x=1.0 + math.expm1(h), u=1.0 + v, t0=math.log1p(v) / h)
         if not self.u < self.x + 1e-12:
             raise DensityError("mean value landed outside (1, x); inputs look corrupt")
 

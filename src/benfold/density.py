@@ -6,19 +6,18 @@ convexity-boosted bounds run on certified closed forms; "unknown" flags
 degrade to grid estimation, which is reported as a lower bound.
 
 numpy is imported on first array use.  Building densities from built-in
-segments, their masses, their variation and their folds at Python floats
-need only `math`, so `benfold bound` and `benfold oracle` on them run
-without numpy.
+segments, their masses, their variation and their translate sums at Python
+floats need only `math`, so `benfold bound` and `benfold oracle` on them run
+without numpy.  Segments and densities are `closed._Record`s, so this
+module does not import `dataclasses` either; folding lives in `oracle`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable
 
-from .closed import DensityError, _as_real
+from .closed import DensityError, _as_real, _Record
 
 
 class _LazyNumpy:
@@ -111,12 +110,17 @@ def _snapped(x: float, width: float, outward) -> int:
     return r if r is not None else outward(x)
 
 
-def _exp(x: float) -> float:
-    # math.exp with overflow to inf, as np.exp gives
+def _exp(x: float, amp: float = 1.0) -> float:
+    # amp * e**x with overflow to inf, as numpy gives; where e**x alone
+    # overflows, a positive amp goes into the exponent (log form)
     try:
-        return math.exp(x)
+        return amp * math.exp(x)
     except OverflowError:
-        return math.inf
+        pass
+    try:
+        return math.exp(x + math.log(amp))
+    except (OverflowError, ValueError):
+        return amp * math.inf
 
 
 def significand(x: float, b: float = 10.0) -> float:
@@ -150,8 +154,7 @@ def _pow_scale(x: float, b: float, k: int) -> float:
     return (x * b**h) * b ** (k - h)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Record):
     """One smooth piece of a density on [lo, hi], tagged with its kind.
 
     kind names the shape and params holds its parameters:
@@ -170,49 +173,57 @@ class Segment:
     the variation and bound code is allowed to rely on.
     """
 
-    lo: float
-    hi: float
-    base: Callable | None = None
-    monotonicity: str = "unknown"
-    convexity: str = "unknown"
-    kind: str = "custom"
-    params: tuple[float, ...] = (1.0, 1.0)
+    _fields = ("lo", "hi", "base", "monotonicity", "convexity", "kind", "params")
+    __slots__ = (*_fields, "_exp_scale")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __init__(
+        self,
+        lo: float,
+        hi: float,
+        base=None,
+        monotonicity: str = "unknown",
+        convexity: str = "unknown",
+        kind: str = "custom",
+        params=(1.0, 1.0),
+    ):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DensityError("segment endpoints must be finite")
-        if not math.isfinite(self.hi - self.lo):
-            raise DensityError(
-                f"segment width hi - lo must be finite, got [{self.lo}, {self.hi}]"
-            )
-        if not self.lo < self.hi:
-            raise DensityError(f"segment needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.monotonicity not in MONOTONICITIES:
-            raise DensityError(f"unknown monotonicity flag {self.monotonicity!r}")
-        if self.convexity not in CONVEXITIES:
-            raise DensityError(f"unknown convexity flag {self.convexity!r}")
-        if self.kind not in _PARAM_MAPS:
-            raise DensityError(f"unknown segment kind {self.kind!r}")
-        if (self.base is None) == (self.kind == "custom"):
+        if not math.isfinite(hi - lo):
+            raise DensityError(f"segment width hi - lo must be finite, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise DensityError(f"segment needs lo < hi, got [{lo}, {hi}]")
+        if monotonicity not in MONOTONICITIES:
+            raise DensityError(f"unknown monotonicity flag {monotonicity!r}")
+        if convexity not in CONVEXITIES:
+            raise DensityError(f"unknown convexity flag {convexity!r}")
+        if kind not in _PARAM_MAPS:
+            raise DensityError(f"unknown segment kind {kind!r}")
+        if (base is None) == (kind == "custom"):
             raise DensityError("a custom segment needs a callable base; other kinds take none")
-        params = tuple(self.params)
-        if len(params) != len(_PARAM_MAPS[self.kind][0]):
-            raise DensityError(f"wrong parameter count for a {self.kind} segment: {params!r}")
-        if self.kind == "exp" and params[1] == 0.0:
+        params = tuple(params)
+        if len(params) != len(_PARAM_MAPS[kind][0]):
+            raise DensityError(f"wrong parameter count for a {kind} segment: {params!r}")
+        if kind == "exp" and params[1] == 0.0:
             raise DensityError("exp segment needs a nonzero rate")
-        object.__setattr__(self, "params", params)
         # the scale amp/expm1(rate) of the geometric series an exp segment
-        # folds to, or None where it underflows (a huge base) or the series
-        # can overflow (a long steep piece): translate_sum then uses log form
+        # folds to, or None where it underflows (a huge base), where the
+        # series can overflow (a long steep piece) or where expm1 does (rate
+        # > ~709.8): translate_sum then uses log form
         scale = None
-        if self.kind == "exp":
+        if kind == "exp":
             amp, r = params
-            scale = amp / math.expm1(r)
+            try:
+                scale = amp / math.expm1(r)
+            except OverflowError:
+                pass
             if amp > 0.0 and (
-                abs(scale) < sys.float_info.min or abs(r) * (self.hi - self.lo + 2.0) >= 700.0
+                abs(r) * (hi - lo + 2.0) >= 700.0 or abs(scale) < sys.float_info.min
             ):
                 scale = None
-        object.__setattr__(self, "_exp_scale", scale)
+        self._set(
+            lo=lo, hi=hi, base=base, monotonicity=monotonicity, convexity=convexity,
+            kind=kind, params=params, _exp_scale=scale,
+        )
         if self.kind == "custom":
             xs = np.linspace(self.lo, self.hi, 17)
             try:
@@ -239,18 +250,22 @@ class Segment:
                 return float(p[0])
             if self.kind == "linear":
                 return p[0] * x + p[1]
-            return p[0] * _exp(p[1] * x)
+            return _exp(p[1] * x, p[0])
         x = np.asarray(x, dtype=float)
         if self.kind == "const":
             return np.full(x.shape, p[0])
         if self.kind == "linear":
             return p[0] * x + p[1]
         if self.kind == "exp":
-            return p[0] * np.exp(p[1] * x)
+            with np.errstate(over="ignore"):
+                y = p[0] * np.exp(p[1] * x)
+                if p[0] > 0.0 and np.isinf(y).any():  # log form where e**(rate*x) overflows
+                    y = np.where(np.isinf(y), np.exp(p[1] * x + math.log(p[0])), y)
+            return y
         return p[1] * np.asarray(self.base(x / p[0]), dtype=float)
 
     @property
-    def fn(self) -> Callable:
+    def fn(self):
         """The segment's value function."""
         return self.__call__
 
@@ -266,7 +281,11 @@ class Segment:
         if self.kind == "linear":
             return 0.5 * p[0] * (b * b - a * a) + p[1] * (b - a)
         if self.kind == "exp":
-            return (p[0] / p[1]) * (math.exp(p[1] * b) - math.exp(p[1] * a))
+            try:
+                return (p[0] / p[1]) * (math.exp(p[1] * b) - math.exp(p[1] * a))
+            except OverflowError:  # log form, from the larger end
+                top = max(p[1] * a, p[1] * b)
+                return _exp(top, p[0] / abs(p[1])) * -math.expm1(-abs(p[1]) * (b - a))
         return _quad(self, a, b)
 
     def crossings(self, level: float, a: float, b: float) -> list[float]:
@@ -331,16 +350,18 @@ class Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""
         powers = _PARAM_MAPS[self.kind][0]
         params = tuple(p * n**k for p, k in zip(self.params, powers))
-        return replace(self, lo=self.lo * n, hi=self.hi * n, params=params)
+        return self._with(self.lo * n, self.hi * n, params)
 
     def amplified(self, c: float) -> Segment:
         """The segment times the constant c > 0."""
         powers = _PARAM_MAPS[self.kind][1]
-        return replace(self, params=tuple(p * c**k for p, k in zip(self.params, powers)))
+        return self._with(self.lo, self.hi, tuple(p * c**k for p, k in zip(self.params, powers)))
+
+    def _with(self, lo, hi, params) -> Segment:
+        return Segment(lo, hi, self.base, self.monotonicity, self.convexity, self.kind, params)
 
 
-@dataclass(frozen=True)
-class PiecewiseDensity:
+class PiecewiseDensity(_Record):
     """A probability density given as ordered, non-overlapping segments.
 
     Total mass must be 1 within 1e-10.  Segments that carry no mass are
@@ -348,10 +369,11 @@ class PiecewiseDensity:
     Instances are immutable and safe to share across threads.
     """
 
-    segments: tuple[Segment, ...]
+    _fields = ("segments",)
+    __slots__ = ("segments", "_masses")
 
-    def __post_init__(self):
-        segs = tuple(self.segments)
+    def __init__(self, segments):
+        segs = tuple(segments)
         if not segs:
             raise DensityError("density needs at least one segment")
         for left, right in zip(segs, segs[1:]):
@@ -367,8 +389,7 @@ class PiecewiseDensity:
         total = math.fsum(kept_masses)
         if abs(total - 1.0) > _TOTAL_MASS_TOL:
             raise DensityError(f"density mass is {total!r}, not 1 within {_TOTAL_MASS_TOL}")
-        object.__setattr__(self, "segments", keep)
-        object.__setattr__(self, "_masses", kept_masses)
+        self._set(segments=keep, _masses=kept_masses)
 
     @property
     def segment_masses(self) -> tuple[float, ...]:
@@ -400,63 +421,6 @@ class PiecewiseDensity:
             if m.any():
                 out[m] = seg(pts[m])
         return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class FoldedDensity:
-    """Density of X mod 1 on [0, 1), as a sum of integer translates.
-
-    route names how fn sums them: "closed-form", "translate-sum" (custom
-    segments), both joined by "+", or "callable" for a fold given as fn.
-    """
-
-    fn: Callable
-    route: str = "callable"
-
-    def __call__(self, t):
-        return self.fn(t)
-
-
-def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
-    """Fold f modulo 1: eval(t) = sum over integers k of f(t + k).
-
-    Every segment has finite endpoints, so the translates are enumerated
-    exactly and nothing is truncated.  A point t owns the translates k of a
-    segment with lo <= t + k < hi (<= hi on the last segment) and k in
-    [floor(lo), ceil(hi)), a contiguous range that Segment.translate_sum
-    sums in closed form per kind, so a call costs O(segments) per point
-    whatever the scale of f.  At a Python float a closed-form fold returns a
-    float computed with math, at an array the same per-point sums (custom
-    segments sum an array's points in numpy), so a scalar call returns bit
-    for bit what the same point gets inside a vector call.
-    """
-    pieces = []
-    last = len(f.segments) - 1
-    for i, seg in enumerate(f.segments):
-        width = seg.hi - seg.lo
-        k_lo = _snapped(seg.lo, width, math.floor)
-        k_end = max(_snapped(seg.hi, width, math.ceil), k_lo + 1)
-        pieces.append((seg.translate_sum, seg.lo, seg.hi, float(k_lo), float(k_end), i == last))
-    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
-    closed = routes == {"closed-form"}
-
-    def fn(t):
-        if type(t) in (float, int) and closed:
-            t, out = float(t), 0.0
-            for tsum, lo, hi, k_lo, k_end, top in pieces:
-                k1 = math.floor(hi - t) + 1 if top else math.ceil(hi - t)
-                out += tsum(t, float(max(math.ceil(lo - t), k_lo)), float(min(k1, k_end)))
-            return out
-        ts = np.asarray(t, dtype=float)
-        tt = ts.reshape(-1)
-        out = np.zeros(tt.shape, dtype=float)
-        for tsum, lo, hi, k_lo, k_end, top in pieces:
-            k0 = np.maximum(np.ceil(lo - tt), k_lo)
-            k1 = np.floor(hi - tt) + 1.0 if top else np.ceil(hi - tt)
-            out += tsum(tt, k0, np.minimum(k1, k_end))
-        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
-
-    return FoldedDensity(fn=fn, route="+".join(sorted(routes)))
 
 
 def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:

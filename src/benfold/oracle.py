@@ -5,6 +5,8 @@ hand-rolled adaptive Simpson scheme and roots come from bisection, so
 the oracle shares no code path with the closed forms and library-backed
 integrals it is used to check.  Both run on Python floats; a closed-form
 fold is evaluated point by point in `math`, so numpy is not imported.
+The fold itself, `fold_mod1`, lives here too: nothing in `bounds` folds, so
+only the oracle loads `dataclasses` for the `FoldedDensity` it returns.
 
 The L1 integrand |f_n - 1| is non-smooth exactly at the fold images of
 segment endpoints and at crossings of 1, so both are located first and
@@ -16,17 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .closed import _require_positive_int
-from .density import (
-    FoldedDensity,
-    PiecewiseDensity,
-    _LazyNumpy,
-    _snap_int,
-    _snapped,
-    fold_mod1,
-    scale_density,
-)
+from .closed import _Record, _require_positive_int
+from .density import PiecewiseDensity, _LazyNumpy, _snap_int, _snapped, scale_density
 
 np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
 
@@ -35,6 +30,10 @@ np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrand
 _EDGE_INSET = 1e-12
 # adaptive Simpson gives up when its active interval set would outgrow this
 _MAX_INTERVALS = 1 << 20
+# an error estimate (S_left + S_right - S)/15 that is not 0 is at least about
+# eps/60 of |S|; a tolerance below this share of |S_left| + |S_right| + |S|,
+# 8x under that, is met only by an estimate of exactly 0
+_ROUNDING_FLOOR = 2.0**-52 / 960.0
 # rounds of bracket refinement in bisect_root
 _BISECT_STEPS = 80
 # scan samples closer to the level than this share of the values' magnitude
@@ -58,26 +57,80 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    max_depth: int = 60
-    breakpoints: tuple[float, ...] = ()
+class QuadratureConfig(_Record):
+    __slots__ = _fields = ("abs_tol", "max_depth", "breakpoints")
 
-    def __post_init__(self):
-        if not self.abs_tol > 0:
+    def __init__(self, abs_tol: float = 1e-10, max_depth: int = 60, breakpoints=()):
+        if not abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
+        self._set(abs_tol=abs_tol, max_depth=max_depth, breakpoints=tuple(breakpoints))
+
+
+class OracleResult(_Record):
+    __slots__ = _fields = ("value", "error_estimate", "method", "detail")
+
+    def __init__(self, value: float, error_estimate: float, method: str, detail: str = ""):
+        # method: quadrature_L1 | crossing_point | monte_carlo
+        self._set(value=value, error_estimate=error_estimate, method=method, detail=detail)
 
 
 @dataclass(frozen=True)
-class OracleResult:
-    value: float
-    error_estimate: float
-    method: str  # quadrature_L1 | crossing_point | monte_carlo
-    detail: str = ""
+class FoldedDensity:
+    """Density of X mod 1 on [0, 1), as a sum of integer translates.
+
+    route names how fn sums them: "closed-form", "translate-sum" (custom
+    segments), both joined by "+", or "callable" for a fold given as fn.
+    """
+
+    fn: Callable
+    route: str = "callable"
+
+    def __call__(self, t):
+        return self.fn(t)
+
+
+def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
+    """Fold f modulo 1: eval(t) = sum over integers k of f(t + k).
+
+    Every segment has finite endpoints, so the translates are enumerated
+    exactly and nothing is truncated.  A point t owns the translates k of a
+    segment with lo <= t + k < hi (<= hi on the last segment) and k in
+    [floor(lo), ceil(hi)), a contiguous range that Segment.translate_sum
+    sums in closed form per kind, so a call costs O(segments) per point
+    whatever the scale of f.  At a Python float a closed-form fold returns a
+    float computed with math, at an array the same per-point sums (custom
+    segments sum an array's points in numpy), so a scalar call returns bit
+    for bit what the same point gets inside a vector call.
+    """
+    pieces = []
+    last = len(f.segments) - 1
+    for i, seg in enumerate(f.segments):
+        width = seg.hi - seg.lo
+        k_lo = _snapped(seg.lo, width, math.floor)
+        k_end = max(_snapped(seg.hi, width, math.ceil), k_lo + 1)
+        pieces.append((seg.translate_sum, seg.lo, seg.hi, float(k_lo), float(k_end), i == last))
+    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
+    closed = routes == {"closed-form"}
+
+    def fn(t):
+        if type(t) in (float, int) and closed:
+            t, out = float(t), 0.0
+            for tsum, lo, hi, k_lo, k_end, top in pieces:
+                k1 = math.floor(hi - t) + 1 if top else math.ceil(hi - t)
+                out += tsum(t, float(max(math.ceil(lo - t), k_lo)), float(min(k1, k_end)))
+            return out
+        ts = np.asarray(t, dtype=float)
+        tt = ts.reshape(-1)
+        out = np.zeros(tt.shape, dtype=float)
+        for tsum, lo, hi, k_lo, k_end, top in pieces:
+            k0 = np.maximum(np.ceil(lo - tt), k_lo)
+            k1 = np.floor(hi - tt) + 1.0 if top else np.ceil(hi - tt)
+            out += tsum(tt, k0, np.minimum(k1, k_end))
+        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+
+    return FoldedDensity(fn=fn, route="+".join(sorted(routes)))
 
 
 class _Integral(tuple):
@@ -142,8 +195,9 @@ def adaptive_simpson(
     Returns (value, error_estimate), a tuple whose `pieces` attribute holds
     the value of each piece between consecutive breakpoints.  Raises
     QuadratureError if a piece hits max_depth with more unresolved error
-    than its tolerance, or if an unattainable tolerance makes the active set
-    outgrow 2**20 intervals.
+    than its tolerance, or if the tolerance is unattainable: a rejected
+    interval's tolerance is below the rounding floor of its Simpson estimates
+    (_ROUNDING_FLOOR), or the active set outgrows 2**20 intervals.
     """
     if b <= a:
         return _Integral(0.0, 0.0, ())
@@ -171,7 +225,8 @@ def adaptive_simpson(
             [0.5 * (iv[0] + 0.5 * (iv[0] + iv[1])) for iv in active]
             + [0.5 * (0.5 * (iv[0] + iv[1]) + iv[1]) for iv in active]
         )
-        kept, open_err = [], 0.0
+        kept, open_val, open_err, floored = [], 0.0, 0.0, False
+        reach = tol / _ROUNDING_FLOOR  # |S_left| + |S_right| + |S| above this rounds past tol
         for (p, q, fp, fm, fq, s, i), fl, fr in zip(active, fnew, fnew[len(active) :]):
             m = 0.5 * (p + q)
             s_left = (m - p) / 6.0 * (fp + 4.0 * fl + fm)
@@ -180,16 +235,23 @@ def adaptive_simpson(
             if not abs(err) <= tol:
                 if depth < max_depth:
                     kept += [(p, m, fp, fl, fm, s_left, i), (m, q, fm, fr, fq, s_right, i)]
+                    open_val += s_left + s_right + err
                     open_err += abs(err)
+                    if abs(s_left) + abs(s_right) + abs(s) > reach:
+                        floored = True
                     continue
                 unresolved[i] += abs(err)
             parts[i].append(s_left + s_right + err)
             errs.append(abs(err))
-        if len(kept) > _MAX_INTERVALS:
+        if floored or len(kept) > _MAX_INTERVALS:
+            why = (
+                "below the rounding floor of the Simpson estimates"
+                if floored
+                else f"active subdivision count exceeded {_MAX_INTERVALS}"
+            )
             raise QuadratureError(
-                f"tolerance {abs_tol:g} unattainable: active subdivision count "
-                f"exceeded {_MAX_INTERVALS}",
-                math.fsum([*map(math.fsum, parts), *(iv[5] for iv in kept)]),
+                f"tolerance {abs_tol:g} unattainable: {why}",
+                math.fsum([*map(math.fsum, parts), open_val]),
                 math.fsum(errs) + open_err,
             )
         active, tol = kept, tol / 2.0

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
@@ -137,11 +137,8 @@ def test_convex_eighth_rejects_contradictions():
 
 
 def test_convex_eighth_caller_assertion():
-    from dataclasses import replace
-
-    seg = replace(
-        bf.uniform_log_density(10).segments[0], monotonicity="unknown", convexity="unknown"
-    )
+    flagged = bf.uniform_log_density(10).segments[0]
+    seg = bf.Segment(flagged.lo, flagged.hi, None, "unknown", "unknown", "exp", flagged.params)
     f = bf.PiecewiseDensity((seg,))
     with pytest.raises(DensityError):
         bf.bound_convex_eighth(f)
@@ -207,6 +204,8 @@ def _single_segment_density(kind, k, cells, y0, y1, log_rate):
     log_rate=st.floats(min_value=-9.0, max_value=math.log10(250.0)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# values up to e**533 whose factor e**(rate*x) overflows on its own
+@example(kind="exp", k=1, cells=3, y0=0.0, y1=0.0, log_rate=2.25, seed=0)
 def test_certified_convex_eighth_is_monotone_and_convex_on_a_grid(
     kind, k, cells, y0, y1, log_rate, seed
 ):

@@ -241,6 +241,17 @@ def test_oracle_mc_engine(capsys):
     assert "seed=5" in out
 
 
+def test_exp_segment_overflow_exits_2(tmp_path, capsys):
+    # e**800 overflows: a bad input, reported as such and not as a traceback
+    path = tmp_path / "steep.json"
+    spec = [{"lo": 0, "hi": 1, "kind": "exp", "params": {"amp": 1, "rate": 800}}]
+    path.write_text(json.dumps(spec))
+    density = f"piecewise {path}"
+    code, _, err = run_cli(capsys, "bound", "--density", density, "--method", "tv_quarter")
+    assert code == 2
+    assert "non-finite" in err
+
+
 def test_oracle_unattainable_tolerance_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "oracle", "--density", "uniform-log b=10", "--n", "1", "--tol", "1e-300"
@@ -321,17 +332,51 @@ def test_builtin_densities_do_not_import_scipy():
 
 
 _HEAVY = ("numpy", "benfold.density", "benfold.bounds", "benfold.oracle")
+# standard-library modules a cold command leaves out: dataclasses imports
+# inspect (with ast, dis and tokenize); json is needed only for json output
+# and piecewise files
+_COLD = ("dataclasses", "inspect", "json")
 
 
 def test_table_and_exact_do_not_import_numpy():
     out = _run_python(
         "import sys\n"
         "from benfold.cli import main\n"
-        "codes = [main(['table', '--base', '10', '--format', fmt]) for fmt in ('text', 'csv', 'json')]\n"
+        "def loaded():\n"
+        f"    return [m for m in {_HEAVY + _COLD!r} if m in sys.modules]\n"
+        "codes = [main(['table', '--base', '10', '--format', fmt]) for fmt in ('text', 'csv')]\n"
         "codes.append(main(['exact', '--base', '10', '--exponent', '3']))\n"
-        f"print('CODES', codes, 'LOADED', [m for m in {_HEAVY!r} if m in sys.modules])\n"
+        "print('CODES', codes, 'LOADED', loaded())\n"
+        "print('JSON', main(['table', '--format', 'json']), 'LOADED', loaded())\n"
     )
-    assert "CODES [0, 0, 0, 0] LOADED []" in out
+    assert "CODES [0, 0, 0] LOADED []" in out
+    assert "JSON 0 LOADED ['json']" in out
+
+
+def test_bound_on_builtin_densities_loads_no_dataclasses_or_json():
+    runs = [
+        ["bound", "--density", d, "--method", m, "--n", "3"]
+        for d in ("uniform-log b=10", "exp-on-unit b=10", "triangular 0 1 2", "uniform 0 2")
+        for m in cli.METHODS
+        if m != "exact_uniform"
+    ]
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "from benfold.cli import main\n"
+        "def loaded():\n"
+        f"    return [m for m in {('numpy',) + _COLD!r} if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print('BOUND', codes, loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['oracle', '--density', 'uniform-log b=10', '--n', '3'])\n"
+        "print('ORACLE', code, loaded())\n"
+    )
+    want = [cli.main(argv) for argv in runs]
+    assert want.count(0) >= 20
+    assert f"BOUND {want} []" in out
+    # the oracle's FoldedDensity is the one dataclass left
+    assert "ORACLE 0 ['dataclasses', 'inspect']" in out
 
 
 def _segments_file(tmp_path):

@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,35 @@ def test_scalar_exp_overflow_is_inf_and_bool_takes_the_array_path():
         assert seg(1000.0) == math.inf
         assert seg(-1000) == 0.0
     assert type(seg(True)) is np.float64
+
+
+def test_exp_rate_past_expm1_overflow_is_a_density_error():
+    # expm1(800) overflows; the segment's value e**800 is not finite either
+    with pytest.raises(DensityError, match="non-finite"):
+        bf.exp_segment(0.0, 1.0, 1.0, 800.0)
+
+
+def test_exp_segment_with_finite_values_past_the_exp_range():
+    # e**(rate*x) overflows on its own, amp * e**(rate*x) is at most e**533.4
+    rate = 177.8
+    seg = bf.exp_segment(1.0, 4.0, math.exp(-rate), rate)
+    with mpmath.workdps(30):
+        value = lambda x: mpmath.e ** (rate * (x - 1.0))  # noqa: E731
+        assert seg(4.0) == pytest.approx(float(value(4.0)), rel=1e-12)
+        assert seg(2.5) == pytest.approx(float(value(2.5)), rel=1e-12)
+        mass = float(mpmath.quad(value, [1.0, 4.0]))
+    assert seg.mass() == pytest.approx(mass, rel=1e-12)
+    xs = np.array([1.0, 2.5, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert seg(xs).tolist() == [seg(x) for x in xs.tolist()]
+    f = bf.normalized((seg,))
+    assert f.segment_masses[0] == pytest.approx(1.0, rel=1e-12)
+    assert math.isfinite(bf.fold_mod1(f)(0.5))
+    # below the overflow the value is the plain product, bit for bit
+    ordinary = bf.exp_segment(0.0, 1.0, 0.3, 2.0)
+    assert ordinary(0.7) == 0.3 * math.exp(2.0 * 0.7)
+    assert ordinary.mass() == (0.3 / 2.0) * (math.exp(2.0) - math.exp(0.0))
 
 
 def test_builtin_densities_load_numpy_on_first_array_use():

@@ -77,6 +77,24 @@ def test_quadrature_error_carries_partial_value():
     assert err.partial_value == pytest.approx(math.e - 1.0, abs=1e-6)
 
 
+def test_tolerance_below_the_rounding_floor_fails_fast():
+    # refining cannot bring an error estimate under the rounding of the
+    # estimates, so the first such rejection ends the run
+    calls = []
+    with pytest.raises(bf.QuadratureError, match="rounding floor") as exc_info:
+        adaptive_simpson(_recording(math.exp, calls), 0.0, 1.0, abs_tol=1e-300)
+    assert len(calls) == 5  # the first level only
+    assert exc_info.value.partial_value == pytest.approx(math.e - 1.0, abs=1e-6)
+
+
+def test_tight_but_attainable_tolerances_still_converge():
+    # refinement meets these tolerances, so the rounding floor must not refuse them
+    f = bf.uniform_log_density(10)
+    for n, tol in ((1, 3e-17), (3, 1e-17), (1000, 3e-18)):
+        r = bf.delta_numeric(f, n, QuadratureConfig(abs_tol=tol))
+        assert r.value == pytest.approx(bf.exact_delta_uniform(10, n).value, abs=1e-15)
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
