@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         "PiecewiseDensity Segment const_segment exp_segment grid_variation linear_segment "
-        "normalized scale_density significand triangular_density tv_full_line "
+        "normalized scale_density triangular_density tv_full_line "
         "tv_integer_delineated uniform_density uniform_log_density".split(),
         "density",
     ),

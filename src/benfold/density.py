@@ -123,37 +123,6 @@ def _exp(x: float, amp: float = 1.0) -> float:
         return amp * math.inf
 
 
-def significand(x: float, b: float = 10.0) -> float:
-    """Significand of x in base b: the r in [1, b) with x = r * b**k, k integer.
-
-    Computed as x * b**(-floor(log_b x)) with an explicit correction step,
-    since the log can land within an ulp of an integer and push r outside
-    [1, b).
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DensityError(f"significand requires x > 0, got {x!r}")
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 1):
-        raise DensityError(f"significand requires base b > 1, got {b!r}")
-    x = float(x)
-    b = float(b)
-    k = math.floor(math.log(x) / math.log(b))
-    r = _pow_scale(x, b, -k)
-    # correct ulp-level misses of the floor
-    while r >= b:
-        r /= b
-    while r < 1.0:
-        r *= b
-    return r
-
-
-def _pow_scale(x: float, b: float, k: int) -> float:
-    # x * b**k in two steps so b**k alone cannot overflow or go subnormal
-    if k == 0:
-        return x
-    h = k // 2
-    return (x * b**h) * b ** (k - h)
-
-
 class Segment(_Record):
     """One smooth piece of a density on [lo, hi], tagged with its kind.
 
@@ -161,7 +130,7 @@ class Segment(_Record):
 
         const   (value,)            value
         linear  (slope, intercept)  slope*x + intercept
-        exp     (amp, rate)         amp * e**(rate*x), rate nonzero
+        exp     (amp, rate)         amp * e**(rate*x), amp > 0, rate nonzero
         custom  (xscale, amp)       amp * base(x / xscale)
 
     base is the callable of a custom segment (None for the other kinds) and
@@ -203,26 +172,19 @@ class Segment(_Record):
         params = tuple(params)
         if len(params) != len(_PARAM_MAPS[kind][0]):
             raise DensityError(f"wrong parameter count for a {kind} segment: {params!r}")
-        if kind == "exp" and params[1] == 0.0:
-            raise DensityError("exp segment needs a nonzero rate")
         # the scale amp/expm1(rate) of the geometric series an exp segment
-        # folds to, or None where it underflows (a huge base), where the
-        # series can overflow (a long steep piece) or where expm1 does (rate
-        # > ~709.8): translate_sum then uses log form
-        scale = None
+        # folds to, or None where the series can overflow (a long steep piece)
+        # or the scale underflows (a huge base): the series then uses log form
+        scale = 0.0
         if kind == "exp":
             amp, r = params
-            try:
+            if amp == 0.0 or r == 0.0:  # a negative amp fails the value check below
+                raise DensityError("exp segment needs a nonzero amp and rate")
+            if abs(r) * (hi - lo + 2.0) < 700.0:
                 scale = amp / math.expm1(r)
-            except OverflowError:
-                pass
-            if amp > 0.0 and (
-                abs(r) * (hi - lo + 2.0) >= 700.0 or abs(scale) < sys.float_info.min
-            ):
-                scale = None
         self._set(
-            lo=lo, hi=hi, base=base, monotonicity=monotonicity, convexity=convexity,
-            kind=kind, params=params, _exp_scale=scale,
+            lo=lo, hi=hi, base=base, monotonicity=monotonicity, convexity=convexity, kind=kind,
+            params=params, _exp_scale=scale if abs(scale) >= sys.float_info.min else None,
         )
         if self.kind == "custom":
             xs = np.linspace(self.lo, self.hi, 17)
@@ -321,30 +283,43 @@ class Segment(_Record):
         """Sum of self(t + k) over the integers k0 <= k < k1.
 
         Built-in kinds take one point as Python floats (k0, k1
-        integer-valued) and sum the series in closed form with math: m equal
-        terms, an arithmetic series, a geometric series.  Given 1-d arrays,
-        they sum each point the same way.  A custom segment takes 1-d arrays
-        only and sums its translates in fixed blocks, so memory does not
-        grow with k1 - k0.
+        integer-valued) or 1-d arrays, and sum every point with `series`.  A
+        custom segment takes 1-d arrays only and sums its translates in
+        fixed blocks, so memory does not grow with k1 - k0.
         """
         if self.kind == "custom":
             return _blocked_translate_sum(self, t, k0, k1)
-        if type(t) not in (float, int):
-            args = (np.asarray(v, dtype=float).tolist() for v in (t, k0, k1))
-            return np.array([self.translate_sum(*point) for point in zip(*args)], dtype=float)
-        m = k1 - k0 if k1 > k0 else 0.0
-        p = self.params
+        series = self.series()
+        if type(t) in (float, int):
+            return series(t, k0, k1) if k1 > k0 else 0.0
+        args = (np.asarray(v, dtype=float).tolist() for v in (t, k0, k1))
+        return np.array([series(*p) if p[2] > p[1] else 0.0 for p in zip(*args)], dtype=float)
+
+    def series(self):
+        """The function (t, k0, k1) -> sum of self(t + k) over k0 <= k < k1.
+
+        For t a float and integer-valued k1 > k0, in closed form with math:
+        m equal terms, an arithmetic series, a geometric series.  The kind
+        and parameters are bound once, so a fold calls it per point.
+        """
+        if self.kind == "custom":
+            raise DensityError("a custom segment has no closed-form series")
         if self.kind == "const":
-            return m * p[0]
+            (value,) = self.params
+            return lambda t, k0, k1: (k1 - k0) * value
         if self.kind == "linear":
-            return m * (p[0] * (t + 0.5 * (k0 + k1 - 1.0)) + p[1])
-        amp, r = p
-        if self._exp_scale is not None:
-            return self._exp_scale * _exp(r * (t + k0)) * math.expm1(r * m)
+            slope, intercept = self.params
+            return lambda t, k0, k1: (k1 - k0) * (slope * (t + 0.5 * (k0 + k1 - 1.0)) + intercept)
+        amp, r = self.params
+        scale = self._exp_scale
+        if scale is not None:
+            return lambda t, k0, k1: scale * _exp(r * (t + k0)) * math.expm1(r * (k1 - k0))
         # sum down from the largest term, with amp inside the exponent
-        lead = k1 - 1.0 if r > 0 else k0
-        ratio = math.expm1(-abs(r) * m) / math.expm1(-abs(r))
-        return _exp(math.log(amp) + r * (t + lead)) * ratio
+        log_amp, fall = math.log(amp), -abs(r)
+        step = math.expm1(fall)
+        return lambda t, k0, k1: _exp(log_amp + r * (t + (k1 - 1.0 if r > 0 else k0))) * (
+            math.expm1(fall * (k1 - k0)) / step
+        )
 
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""
@@ -474,7 +449,7 @@ def _piece_list(f: PiecewiseDensity):
 def _variation_core(f: PiecewiseDensity):
     """Variation over the support span, plus the one-sided boundary values.
 
-    Returns (interior_total, certified, v_left, v_right).  interior_total
+    Returns (interior_total, v_left, v_right).  interior_total
     counts monotone-piece rises and interior jumps, including jumps onto and
     off zero gaps; it excludes the jumps at the two support endpoints, which
     the callers add or not depending on the variation notion.
@@ -482,7 +457,6 @@ def _variation_core(f: PiecewiseDensity):
     pieces = _piece_list(f)
     endpoint_vals = []
     total = 0.0
-    certified = True
     for seg, lo, hi in pieces:
         if seg is None:
             endpoint_vals.append((0.0, 0.0))
@@ -490,16 +464,15 @@ def _variation_core(f: PiecewiseDensity):
         v_lo = float(seg(lo))
         v_hi = float(seg(hi))
         if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
-            return math.inf, False, math.inf, math.inf
+            return math.inf, math.inf, math.inf
         endpoint_vals.append((v_lo, v_hi))
         if seg.monotonicity in ("increasing", "decreasing", "constant"):
             total += abs(v_hi - v_lo)
         else:
             total += _grid_variation_refined(seg, lo, hi)
-            certified = False
     for i in range(len(pieces) - 1):
         total += abs(endpoint_vals[i + 1][0] - endpoint_vals[i][1])
-    return total, certified, endpoint_vals[0][0], endpoint_vals[-1][1]
+    return total, endpoint_vals[0][0], endpoint_vals[-1][1]
 
 
 def variation_is_certified(f: PiecewiseDensity) -> bool:
@@ -513,7 +486,7 @@ def tv_integer_delineated(f: PiecewiseDensity) -> float:
     Jumps strictly inside the interval count; jumps to zero exactly at the
     integer endpoints do not (so the uniform density on [0, 1) has value 0).
     """
-    core, _, v_left, v_right = _variation_core(f)
+    core, v_left, v_right = _variation_core(f)
     if not math.isfinite(core):
         return math.inf
     first, last = f.segments[0], f.segments[-1]
@@ -527,7 +500,7 @@ def tv_integer_delineated(f: PiecewiseDensity) -> float:
 
 def tv_full_line(f: PiecewiseDensity) -> float:
     """Variation of f over the whole line, counting both support-edge jumps."""
-    core, _, v_left, v_right = _variation_core(f)
+    core, v_left, v_right = _variation_core(f)
     if not math.isfinite(core):
         return math.inf
     return core + v_left + v_right

@@ -1,7 +1,7 @@
 """Independent numerical ground truth for the distance to uniform.
 
 Everything here is self-contained on purpose: the quadrature is a
-hand-rolled adaptive Simpson scheme and roots come from bisection, so
+hand-rolled adaptive Simpson scheme and roots come from ITP bracketing, so
 the oracle shares no code path with the closed forms and library-backed
 integrals it is used to check.  Both run on Python floats; a closed-form
 fold is evaluated point by point in `math`, so numpy is not imported.
@@ -34,6 +34,10 @@ _MAX_INTERVALS = 1 << 20
 # eps/60 of |S|; a tolerance below this share of |S_left| + |S_right| + |S|,
 # 8x under that, is met only by an estimate of exactly 0
 _ROUNDING_FLOOR = 2.0**-52 / 960.0
+# a tolerance below this share of scale * width, for samples computed from
+# values of magnitude `scale`, is under their rounding: converging runs sit
+# 1.4x above it, uniform-log b=10, n=1000 at abs_tol 1e-18 1.4x below
+_SCALE_FLOOR = 2.0**-52 / 320.0
 # rounds of bracket refinement in bisect_root
 _BISECT_STEPS = 80
 # scan samples closer to the level than this share of the values' magnitude
@@ -99,35 +103,41 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     segment with lo <= t + k < hi (<= hi on the last segment) and k in
     [floor(lo), ceil(hi)), a contiguous range that Segment.translate_sum
     sums in closed form per kind, so a call costs O(segments) per point
-    whatever the scale of f.  At a Python float a closed-form fold returns a
-    float computed with math, at an array the same per-point sums (custom
-    segments sum an array's points in numpy), so a scalar call returns bit
-    for bit what the same point gets inside a vector call.
+    whatever the scale of f.  A closed-form fold sums each point in math
+    with each segment's `series`, bound once per fold, and maps an array
+    point by point, so a scalar call returns bit for bit what the same
+    point gets inside a vector call; other folds sum an array in numpy.
     """
+    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
+    closed = routes == {"closed-form"}
     pieces = []
     last = len(f.segments) - 1
     for i, seg in enumerate(f.segments):
         width = seg.hi - seg.lo
         k_lo = _snapped(seg.lo, width, math.floor)
         k_end = max(_snapped(seg.hi, width, math.ceil), k_lo + 1)
-        pieces.append((seg.translate_sum, seg.lo, seg.hi, float(k_lo), float(k_end), i == last))
-    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
-    closed = routes == {"closed-form"}
+        tsum = seg.series() if closed else seg.translate_sum
+        pieces.append((tsum, seg.lo, seg.hi, k_lo, k_end, i == last))
 
     def fn(t):
         if type(t) in (float, int) and closed:
             t, out = float(t), 0.0
-            for tsum, lo, hi, k_lo, k_end, top in pieces:
-                k1 = math.floor(hi - t) + 1 if top else math.ceil(hi - t)
-                out += tsum(t, float(max(math.ceil(lo - t), k_lo)), float(min(k1, k_end)))
+            for series, lo, hi, k_lo, k_end, top in pieces:
+                k0 = max(math.ceil(lo - t), k_lo)
+                k1 = min(math.floor(hi - t) + 1 if top else math.ceil(hi - t), k_end)
+                if k1 > k0:
+                    out += series(t, k0, k1)
             return out
         ts = np.asarray(t, dtype=float)
         tt = ts.reshape(-1)
-        out = np.zeros(tt.shape, dtype=float)
-        for tsum, lo, hi, k_lo, k_end, top in pieces:
-            k0 = np.maximum(np.ceil(lo - tt), k_lo)
-            k1 = np.floor(hi - tt) + 1.0 if top else np.ceil(hi - tt)
-            out += tsum(tt, k0, np.minimum(k1, k_end))
+        if closed:
+            out = np.array([fn(x) for x in tt.tolist()], dtype=float)
+        else:
+            out = np.zeros(tt.shape, dtype=float)
+            for tsum, lo, hi, k_lo, k_end, top in pieces:
+                k0 = np.maximum(np.ceil(lo - tt), k_lo)
+                k1 = np.floor(hi - tt) + 1.0 if top else np.ceil(hi - tt)
+                out += tsum(tt, k0, np.minimum(k1, k_end))
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
     return FoldedDensity(fn=fn, route="+".join(sorted(routes)))
@@ -180,7 +190,7 @@ def _linspace(a: float, b: float, num: int) -> list[float]:
 
 
 def adaptive_simpson(
-    fn, a: float, b: float, abs_tol: float = 1e-10, max_depth: int = 60, breakpoints=()
+    fn, a: float, b: float, abs_tol: float = 1e-10, max_depth: int = 60, breakpoints=(), scale=0.0
 ):
     """Integrate fn over [a, b] with a level-synchronous adaptive Simpson rule.
 
@@ -197,7 +207,8 @@ def adaptive_simpson(
     QuadratureError if a piece hits max_depth with more unresolved error
     than its tolerance, or if the tolerance is unattainable: a rejected
     interval's tolerance is below the rounding floor of its Simpson estimates
-    (_ROUNDING_FLOOR), or the active set outgrows 2**20 intervals.
+    (_ROUNDING_FLOOR) or of the magnitude `scale` of the values fn is
+    computed from (_SCALE_FLOOR), or the active set outgrows 2**20 intervals.
     """
     if b <= a:
         return _Integral(0.0, 0.0, ())
@@ -237,8 +248,8 @@ def adaptive_simpson(
                     kept += [(p, m, fp, fl, fm, s_left, i), (m, q, fm, fr, fq, s_right, i)]
                     open_val += s_left + s_right + err
                     open_err += abs(err)
-                    if abs(s_left) + abs(s_right) + abs(s) > reach:
-                        floored = True
+                    floored |= abs(s_left) + abs(s_right) + abs(s) > reach
+                    floored |= scale * (q - p) * _SCALE_FLOOR > tol
                     continue
                 unresolved[i] += abs(err)
             parts[i].append(s_left + s_right + err)
@@ -273,30 +284,46 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
 
 
 def bisect_root(fn, a: float, b: float, ends=None) -> float:
-    """Bisection for a sign change of fn on [a, b], one scalar point per round.
+    """A sign change of fn on [a, b] by ITP, one scalar point per round.
 
-    The bracket is halved on Python floats until no representable midpoint
-    is left, so a scalar-only fn works.  ends, when given, holds (fn(a),
-    fn(b)), which the caller already has, so fn is not evaluated there again.
+    ITP (Oliveira & Takahashi, ACM TOMS 2020) moves the regula falsi point
+    0.2 * w**2 / (b - a) toward the midpoint of the width-w bracket, then
+    near enough to it that the bracket after round j is no wider than
+    bisection's after round j - 1: superlinear on a smooth fn, one round more
+    than bisection at worst.  The bracket shrinks on Python floats until no
+    representable midpoint is left, so a scalar-only fn works.  ends, when
+    given, holds (fn(a), fn(b)), which the caller already has.
     """
     fa, fb = map(float, (fn(a), fn(b)) if ends is None else ends)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0:
+    if (fa < 0.0) == (fb < 0.0):
         raise BisectionError("bisection needs a sign change")
+    budget = b - a  # the widest bracket this round may leave
+    k1 = 0.2 / budget
     for _ in range(_BISECT_STEPS):
         m = 0.5 * (a + b)
         if not a < m < b:
             break  # the bracket is two adjacent floats; more rounds change nothing
-        fm = float(fn(m))
-        if fm == 0.0:
-            return m
-        if fa * fm <= 0.0:
-            b = m
+        w = b - a
+        radius = budget - 0.5 * w
+        budget *= 0.5
+        xf = a - fa * w / (fb - fa)  # regula falsi
+        delta = k1 * w * w
+        x = xf - math.copysign(delta, xf - m) if delta <= abs(xf - m) else m
+        if not abs(x - m) <= radius:
+            x = m + math.copysign(radius, xf - m)
+        if not a < x < b:
+            x = m
+        fx = float(fn(x))
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
         else:
-            a, fa = m, fm
+            b, fb = x, fx
     return 0.5 * (a + b)
 
 
@@ -324,15 +351,12 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     |fn - level| is then integrated over all sign-resolved pieces in one
     adaptive_simpson run.  Returns (value, error_estimate, pieces, signed
     integral of fn - level), the last from each piece's value with the sign
-    of its scan samples (0 where they all sit within the floor).
+    of its scan samples (0 where they all sit within the floor).  The
+    largest |level| + |fn| on the scans is Simpson's `scale`.
     """
     evalf = _evaluator(fn)
     f = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
-
-    def g(x):
-        return f(x) - level
-
-    bounds, signs, err = [pts[0]], [], 0.0
+    bounds, signs, err, scale = [pts[0]], [], 0.0, 0.0
 
     def close(x, y):
         # end the current piece at x, signed as its scan samples y; none is
@@ -344,28 +368,30 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     for p, q in zip(pts, pts[1:]):
         inset = _EDGE_INSET * (q - p)
         xs = _linspace(p + inset, q - inset, scan_points)
-        ys = [y - level for y in evalf(xs)]
+        fs = evalf(xs)
+        ys = [y - level for y in fs]
+        scale = max(scale, abs(level) + max(map(abs, fs)))
         floor = _ROUNDOFF_FLOOR * (abs(level) + max(map(abs, ys)))
         side = [(x, y) for x, y in zip(xs, ys) if abs(y) > floor]
         for (x0, y0), (x1, y1) in zip(side, side[1:]):
             if (y0 < 0) != (y1 < 0):
-                close(bisect_root(g, x0, x1, ends=(y0, y1)), y0)
+                close(bisect_root(lambda x: f(x) - level, x0, x1, ends=(y0, y1)), y0)
         close(q, side[-1][1] if side else 0.0)
         err += floor * (q - p)
-    # inside a sign-resolved piece |g| differs from g only in sign, so the
-    # Simpson decisions are those of integrating g piece by piece; |g| keeps
-    # fn's route, which decides how Simpson evaluates it
-    absg = FoldedDensity(lambda x: abs(g(x)), getattr(fn, "route", "callable"))
-    value, e = result = adaptive_simpson(absg, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1])
+    # inside a sign-resolved piece |fn - level| differs from fn - level only
+    # in sign, so the Simpson decisions are those of integrating fn - level
+    # piece by piece; it keeps fn's route, which decides how Simpson evaluates it
+    absg = FoldedDensity(lambda x: abs(f(x) - level), getattr(fn, "route", "callable"))
+    result = adaptive_simpson(absg, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale)
     signed = math.fsum(s * v for s, v in zip(signs, result.pieces))
-    return value, err + e, len(bounds) - 1, signed
+    return result[0], err + result[1], len(bounds) - 1, signed
 
 
 def delta_numeric(f: PiecewiseDensity, n: int, cfg: QuadratureConfig | None = None) -> OracleResult:
     """Distance of n*X mod 1 from uniform, by direct L1 quadrature.
 
     Folds the scaled density, forces breakpoints at the fold images of
-    segment endpoints, splits again at crossings of 1 found by bisection,
+    segment endpoints, splits again at crossings of 1 found by bisect_root,
     and integrates |f_n - 1| over the sign-resolved pieces in one Simpson run.
     The same run's signed piece values give the integral of f_n - 1, which
     is 0 for a density of mass 1; where it is not, within max(10 * error
@@ -394,7 +420,7 @@ def delta_crossing_unimodal(
 ) -> OracleResult:
     """Distance to uniform for a strictly monotone folded density.
 
-    Locates the crossing point t0 where the density equals 1 by bisection,
+    Locates the crossing point t0 where the density equals 1 by bisect_root,
     then returns |t0 - F(t0)| with F obtained by quadrature.  The caller
     certifies monotonicity; a density that never crosses 1 is accepted only
     if it is flat at 1 everywhere.
@@ -526,7 +552,7 @@ def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = No
     """Mean value y of fn on [a, b] and the integral of |fn - y|.
 
     Returns (residual, y, error_estimate).  Crossings of the mean are
-    located by bisection and the residual is assembled from sign-resolved
+    located by bisect_root and the residual is assembled from sign-resolved
     pieces, so piecewise-constant and affine inputs come out exact.
     """
     cfg = cfg or QuadratureConfig()

@@ -20,52 +20,6 @@ LN10 = math.log(10.0)
 
 
 # ---------------------------------------------------------------------------
-# significand
-# ---------------------------------------------------------------------------
-
-
-def test_significand_examples():
-    assert bf.significand(1, 10) == 1.0
-    assert bf.significand(0.25, 10) == 2.5
-    # independent oracle: divide by 10 until the result lands in [1, 10)
-    r = 123.456
-    while r >= 10.0:
-        r /= 10.0
-    assert bf.significand(123.456, 10) == pytest.approx(r, rel=1e-15)
-    assert bf.significand(123.456, 10) == pytest.approx(1.23456, rel=1e-12)
-
-
-def test_significand_domain_errors():
-    for bad_x in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DensityError):
-            bf.significand(bad_x, 10)
-    for bad_b in (1.0, 0.5, -2.0, math.nan):
-        with pytest.raises(DensityError):
-            bf.significand(2.0, bad_b)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    x=st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False),
-    b=st.floats(min_value=1.000001, max_value=1e6, allow_nan=False, allow_infinity=False),
-)
-def test_significand_range_and_reconstruction(x, b):
-    r = bf.significand(x, b)
-    assert 1.0 <= r < b
-    # x = r * b**k for an integer k: check in log space to dodge overflow
-    k = (math.log(x) - math.log(r)) / math.log(b)
-    assert abs(k - round(k)) < 1e-6
-
-
-def test_significand_near_power_boundaries():
-    for k in range(-20, 21):
-        x = 10.0**k
-        r = bf.significand(x, 10)
-        assert 1.0 <= r < 10.0
-        assert r == pytest.approx(1.0, abs=1e-12) or r == pytest.approx(10.0, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # construction and evaluation
 # ---------------------------------------------------------------------------
 
@@ -138,6 +92,15 @@ def test_custom_segment_must_be_vectorized():
         bf.Segment(0.0, 1.0, lambda x: math.exp(x))  # scalar-only callable
     with pytest.raises(DensityError):
         bf.Segment(0.0, 1.0, lambda x: 1.0)  # ignores the array shape
+
+
+def test_exp_segment_with_zero_amp_is_refused():
+    # its log-form series would take log(0); exp_segment refuses it too
+    for rate in (1.0, 800.0):
+        with pytest.raises(DensityError, match="nonzero amp"):
+            bf.Segment(0.0, 0.5, None, "increasing", "convex", "exp", (0.0, rate))
+    with pytest.raises(DensityError):
+        bf.exp_segment(0.0, 0.5, 0.0, 800.0)
 
 
 def test_segment_kind_and_params_are_validated():
@@ -387,6 +350,13 @@ def test_custom_fold_scalar_and_vector_agree_exactly():
     folded = bf.fold_mod1(f)
     ts = np.random.default_rng(5).random(150)
     assert [folded(t) for t in ts] == list(folded(ts))
+
+
+def test_series_is_for_built_in_kinds_only():
+    seg = bf.exp_segment(-3.0, 5.0, 0.4, -0.8)
+    assert seg.series()(0.25, -3, 5) == seg.translate_sum(0.25, -3.0, 5.0)
+    with pytest.raises(DensityError, match="no closed-form series"):
+        custom_twin(seg).series()
 
 
 def test_translate_sum_per_kind_matches_explicit_sum():

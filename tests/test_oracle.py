@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
@@ -87,6 +87,22 @@ def test_tolerance_below_the_rounding_floor_fails_fast():
     assert exc_info.value.partial_value == pytest.approx(math.e - 1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "density, n, tol",
+    [
+        (lambda: bf.uniform_log_density(10), 1000, 1e-18),
+        (lambda: bf.triangular_density(0.0, 1.0, 2.0), 3, 1e-19),
+        (lambda: bf.uniform_log_density(1.0001), 1, 1e-20),
+    ],
+)
+def test_tolerance_below_the_fold_rounding_fails_fast(density, n, tol):
+    # |f_n - 1| is tiny where f_n is near 1, but it is computed from f_n's
+    # O(1) values, whose rounding no refinement removes: the floor takes that
+    # magnitude, so these end at once instead of at the 2**20-interval cap
+    with pytest.raises(bf.QuadratureError, match="rounding floor"):
+        bf.delta_numeric(density(), n, QuadratureConfig(abs_tol=tol))
+
+
 def test_tight_but_attainable_tolerances_still_converge():
     # refinement meets these tolerances, so the rounding floor must not refuse them
     f = bf.uniform_log_density(10)
@@ -155,25 +171,81 @@ def _recording(fn, log):
     return recorded
 
 
-@pytest.mark.parametrize(
-    "fn, a, b",
-    [
-        (lambda x: float(x) ** 2 - 2.0, 0.0, 2.0),
-        (lambda x: math.exp(float(x)) - 3.0, -2.5, 4.0),
-        (lambda x: math.cos(float(x)), 0.1, 3.0),
-        (lambda x: float(x) - 0.25, 0.0, 1.0),  # hits its root exactly
-        (lambda x: -1.0 if float(x) < 0.7 else 1.0, 0.0, 1.0),
-    ],
-)
+def _bisection_rounds(a, b, root):
+    """Halvings that bring [a, b] down to the float spacing at root, in exact arithmetic."""
+    spacing = min(root - math.nextafter(root, -math.inf), math.nextafter(root, math.inf) - root)
+    return math.ceil(math.log2(b - a) - math.log2(spacing))
+
+
+_ROOT_CASES = [
+    (lambda x: float(x) ** 2 - 2.0, 0.0, 2.0),
+    # convex across a wide bracket: the regula falsi points spend the one
+    # round of slack in the first two rounds, and ITP bisects from there
+    (lambda x: math.exp(float(x)) - 3.0, -2.5, 4.0),
+    (lambda x: math.cos(float(x)), 0.1, 3.0),
+    (lambda x: float(x) - 0.25, 0.0, 1.0),  # has an exact zero
+    (lambda x: -1.0 if float(x) < 0.7 else 1.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("fn, a, b", _ROOT_CASES)
 def test_bisect_root_one_point_is_plain_bisection(fn, a, b):
-    # bisect_root takes the same scalar steps as a loop of halvings, so a
-    # scalar-only fn works and the root is the same float
+    # one scalar point per round, and plain bisection at worst: bisection's
+    # root, or an exact zero within its final bracket, in at most one round
+    # more than bisection needs
     got, want = [], []
     root = bisect_root(_recording(fn, got), a, b)
-    assert root == _plain_bisection(_recording(fn, want), a, b)
-    assert got == want
+    plain = _plain_bisection(_recording(fn, want), a, b)
+    assert root == plain or (fn(root) == 0.0 and abs(root - plain) <= math.ulp(plain))
     assert all(type(x) is float for x in got)
-    assert len(got) < 60
+    assert len(got) - 2 <= _bisection_rounds(a, b, root) + 1
+    if fn(plain) != 0.0:  # bisection did not stop early on an exact zero
+        assert len(got) <= len(want) + 1
+
+
+@pytest.mark.parametrize("fn, a, b", [_ROOT_CASES[0], _ROOT_CASES[2], _ROOT_CASES[3]])
+def test_bisect_root_is_superlinear_on_smooth_functions(fn, a, b):
+    calls = []
+    bisect_root(_recording(fn, calls), a, b)
+    assert len(calls) <= 15  # plain bisection makes 55-56 calls on the first two
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=-1e3, max_value=1e3),
+    width=st.floats(min_value=1e-9, max_value=1e3),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    shape=st.sampled_from(["line", "cube", "tanh", "expm1", "step"]),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_bisect_root_ends_on_adjacent_floats(a, width, share, shape, sign):
+    # on any monotone fn with a sign change the result sits on a sign change
+    # between adjacent floats, in no more rounds than bisection + 1
+    b = a + width
+    c = a + share * (b - a)
+    base = {
+        "line": lambda d: d,
+        "cube": lambda d: d**3,
+        "tanh": math.tanh,
+        "expm1": lambda d: math.expm1(30.0 * min(d, 20.0)),
+        "step": lambda d: -1.0 if d < 0.0 else 1.0,
+    }[shape]
+
+    def fn(x):
+        return sign * base(x - c)
+
+    fa, fb = fn(a), fn(b)
+    assume(fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0))
+    assume(_bisection_rounds(a, b, c) < 78)  # bisection itself ends on adjacent floats
+    calls = []
+    root = bisect_root(_recording(fn, calls), a, b)
+    assert a <= root <= b
+    assert all(type(x) is float for x in calls)
+    y = fn(root)
+    if y != 0.0:
+        below, above = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+        assert (fn(below) < 0.0) != (y < 0.0) or (fn(above) < 0.0) != (y < 0.0)
+    assert len(calls) - 2 <= _bisection_rounds(a, b, root) + 1
 
 
 def test_custom_fold_bisects_one_point_per_round(monkeypatch):
@@ -407,6 +479,28 @@ def test_narrow_support_is_far_from_uniform(k, log_w):
     except (bf.QuadratureError, bf.BisectionError):
         return
     assert value == pytest.approx(1.0, abs=1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_b=st.one_of(
+        st.tuples(st.just("huge"), st.floats(min_value=0.0, max_value=307.0)),
+        st.tuples(st.just("near 1"), st.floats(min_value=-12.0, max_value=0.0)),
+    ),
+    n=st.integers(min_value=1, max_value=10**6),
+)
+def test_oracle_on_degenerate_bases(log_b, n):
+    # steep folds of huge bases and near-flat folds of bases near 1, where a
+    # regula falsi point is weakest: the oracle matches the closed form or
+    # raises a typed error
+    kind, e = log_b
+    b = 10.0**e if kind == "huge" else 1.0 + 10.0**e
+    try:
+        want = bf.exact_delta_uniform(b, n).value
+        got = bf.delta_numeric(bf.uniform_log_density(b), n).value
+    except (bf.DensityError, bf.VacuousBoundError, bf.QuadratureError, bf.BisectionError):
+        return
+    assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_delta_numeric_detail_names_fold_route():
