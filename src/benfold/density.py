@@ -43,7 +43,7 @@ CONVEXITIES = ("convex", "concave", "neither", "unknown")
 _PARAM_MAPS = {
     "const": ((-1,), (1,)),  # value
     "linear": ((-2, -1), (1, 1)),  # slope, intercept
-    "exp": ((-1, -1), (1, 0)),  # amp, rate
+    "exp": ((-1, -1, 1), (1, 0, 0)),  # amp, rate, at
     "custom": ((1, -1), (0, 1)),  # xscale, amp
 }
 
@@ -130,7 +130,7 @@ class Segment(_Record):
 
         const   (value,)            value
         linear  (slope, intercept)  slope*x + intercept
-        exp     (amp, rate)         amp * e**(rate*x), amp > 0, rate nonzero
+        exp     (amp, rate, at=0)   amp * e**(rate*(x - at)), amp > 0, rate nonzero
         custom  (xscale, amp)       amp * base(x / xscale)
 
     base is the callable of a custom segment (None for the other kinds) and
@@ -170,6 +170,7 @@ class Segment(_Record):
         if (base is None) == (kind == "custom"):
             raise DensityError("a custom segment needs a callable base; other kinds take none")
         params = tuple(params)
+        params += (0.0,) if kind == "exp" and len(params) == 2 else ()  # at
         if len(params) != len(_PARAM_MAPS[kind][0]):
             raise DensityError(f"wrong parameter count for a {kind} segment: {params!r}")
         # the scale amp/expm1(rate) of the geometric series an exp segment
@@ -177,7 +178,7 @@ class Segment(_Record):
         # or the scale underflows (a huge base): the series then uses log form
         scale = 0.0
         if kind == "exp":
-            amp, r = params
+            amp, r, _ = params
             if amp == 0.0 or r == 0.0:  # a negative amp fails the value check below
                 raise DensityError("exp segment needs a nonzero amp and rate")
             if abs(r) * (hi - lo + 2.0) < 700.0:
@@ -212,7 +213,7 @@ class Segment(_Record):
                 return float(p[0])
             if self.kind == "linear":
                 return p[0] * x + p[1]
-            return _exp(p[1] * x, p[0])
+            return _exp(p[1] * (x - p[2]), p[0])
         x = np.asarray(x, dtype=float)
         if self.kind == "const":
             return np.full(x.shape, p[0])
@@ -220,16 +221,11 @@ class Segment(_Record):
             return p[0] * x + p[1]
         if self.kind == "exp":
             with np.errstate(over="ignore"):
-                y = p[0] * np.exp(p[1] * x)
+                y = p[0] * np.exp(p[1] * (x - p[2]))
                 if p[0] > 0.0 and np.isinf(y).any():  # log form where e**(rate*x) overflows
-                    y = np.where(np.isinf(y), np.exp(p[1] * x + math.log(p[0])), y)
+                    y = np.where(np.isinf(y), np.exp(p[1] * (x - p[2]) + math.log(p[0])), y)
             return y
         return p[1] * np.asarray(self.base(x / p[0]), dtype=float)
-
-    @property
-    def fn(self):
-        """The segment's value function."""
-        return self.__call__
 
     def mass(self, a: float | None = None, b: float | None = None) -> float:
         """Integral of the segment over [a, b] (defaults to the whole piece)."""
@@ -244,9 +240,9 @@ class Segment(_Record):
             return 0.5 * p[0] * (b * b - a * a) + p[1] * (b - a)
         if self.kind == "exp":
             try:
-                return (p[0] / p[1]) * (math.exp(p[1] * b) - math.exp(p[1] * a))
+                return (p[0] / p[1]) * (math.exp(p[1] * (b - p[2])) - math.exp(p[1] * (a - p[2])))
             except OverflowError:  # log form, from the larger end
-                top = max(p[1] * a, p[1] * b)
+                top = max(p[1] * (a - p[2]), p[1] * (b - p[2]))
                 return _exp(top, p[0] / abs(p[1])) * -math.expm1(-abs(p[1]) * (b - a))
         return _quad(self, a, b)
 
@@ -264,7 +260,7 @@ class Segment(_Record):
             x = (level - p[1]) / p[0]
             return [x] if a < x < b else []
         if self.kind == "exp":
-            x = math.log(level / p[0]) / p[1] if level > 0 else math.nan
+            x = p[2] + math.log(level / p[0]) / p[1] if level > 0 else math.nan
             return [x] if a < x < b else []
         monotone = self.monotonicity in ("increasing", "decreasing", "constant")
         xs = np.linspace(a, b, 2 if monotone else 65)
@@ -282,44 +278,43 @@ class Segment(_Record):
     def translate_sum(self, t, k0, k1):
         """Sum of self(t + k) over the integers k0 <= k < k1.
 
-        Built-in kinds take one point as Python floats (k0, k1
-        integer-valued) or 1-d arrays, and sum every point with `series`.  A
-        custom segment takes 1-d arrays only and sums its translates in
-        fixed blocks, so memory does not grow with k1 - k0.
+        Built-in kinds take one point as floats (k0, k1 integer-valued) or 1-d
+        arrays and sum each point with `series`; a custom segment takes 1-d
+        arrays and sums in fixed blocks, in memory that k1 - k0 does not grow.
         """
         if self.kind == "custom":
             return _blocked_translate_sum(self, t, k0, k1)
-        series = self.series()
         if type(t) in (float, int):
-            return series(t, k0, k1) if k1 > k0 else 0.0
+            return self.series(k0, k1)(t) if k1 > k0 else 0.0
         args = (np.asarray(v, dtype=float).tolist() for v in (t, k0, k1))
-        return np.array([series(*p) if p[2] > p[1] else 0.0 for p in zip(*args)], dtype=float)
+        return np.array([self.series(a, b)(x) if b > a else 0.0 for x, a, b in zip(*args)], dtype=float)
 
-    def series(self):
-        """The function (t, k0, k1) -> sum of self(t + k) over k0 <= k < k1.
+    def series(self, k0, k1):
+        """The function t -> sum of self(t + k) over the integers k0 <= k < k1.
 
-        For t a float and integer-valued k1 > k0, in closed form with math:
-        m equal terms, an arithmetic series, a geometric series.  The kind
-        and parameters are bound once, so a fold calls it per point.
+        For t a float and k1 > k0, in closed form with math (m equal terms, an
+        arithmetic or a geometric series); all but t is computed here, once.
         """
         if self.kind == "custom":
             raise DensityError("a custom segment has no closed-form series")
+        m = k1 - k0
         if self.kind == "const":
-            (value,) = self.params
-            return lambda t, k0, k1: (k1 - k0) * value
+            total = m * self.params[0]
+            return lambda t: total
         if self.kind == "linear":
             slope, intercept = self.params
-            return lambda t, k0, k1: (k1 - k0) * (slope * (t + 0.5 * (k0 + k1 - 1.0)) + intercept)
-        amp, r = self.params
+            mid = 0.5 * (k0 + k1 - 1.0)
+            return lambda t: m * (slope * (t + mid) + intercept)
+        amp, r, at = self.params
         scale = self._exp_scale
         if scale is not None:
-            return lambda t, k0, k1: scale * _exp(r * (t + k0)) * math.expm1(r * (k1 - k0))
+            growth, shift = math.expm1(r * m), k0 - at
+            return lambda t: scale * _exp(r * (t + shift)) * growth
         # sum down from the largest term, with amp inside the exponent
         log_amp, fall = math.log(amp), -abs(r)
-        step = math.expm1(fall)
-        return lambda t, k0, k1: _exp(log_amp + r * (t + (k1 - 1.0 if r > 0 else k0))) * (
-            math.expm1(fall * (k1 - k0)) / step
-        )
+        top = (k1 - 1.0 if r > 0 else k0) - at
+        terms = math.expm1(fall * m) / math.expm1(fall)
+        return lambda t: _exp(log_amp + r * (t + top)) * terms
 
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""
@@ -328,9 +323,12 @@ class Segment(_Record):
         return self._with(self.lo * n, self.hi * n, params)
 
     def amplified(self, c: float) -> Segment:
-        """The segment times the constant c > 0."""
-        powers = _PARAM_MAPS[self.kind][1]
-        return self._with(self.lo, self.hi, tuple(p * c**k for p, k in zip(self.params, powers)))
+        """The segment times c > 0; an exp amp off the normal doubles moves to the larger end."""
+        params = tuple(p * c**k for p, k in zip(self.params, _PARAM_MAPS[self.kind][1]))
+        if self.kind == "exp" and not sys.float_info.min <= params[0] < math.inf:
+            end = float(self.hi if self.params[1] > 0 else self.lo)
+            params = (self(end) * c, self.params[1], end)
+        return self._with(self.lo, self.hi, params)
 
     def _with(self, lo, hi, params) -> Segment:
         return Segment(lo, hi, self.base, self.monotonicity, self.convexity, self.kind, params)
@@ -524,14 +522,14 @@ def linear_segment(lo: float, hi: float, slope: float, intercept: float) -> Segm
     return Segment(lo, hi, None, mono, "convex", "linear", (s, float(intercept)))
 
 
-def exp_segment(lo: float, hi: float, amp: float, rate: float) -> Segment:
-    """Exponential piece amp * e**(rate*x); convex for amp > 0."""
+def exp_segment(lo: float, hi: float, amp: float, rate: float, at: float = 0.0) -> Segment:
+    """Exponential piece amp * e**(rate*(x - at)); convex for amp > 0."""
     if amp <= 0:
         raise DensityError("exponential segment needs amp > 0")
     if rate == 0.0:
         return const_segment(lo, hi, amp)
     mono = "increasing" if rate > 0 else "decreasing"
-    return Segment(lo, hi, None, mono, "convex", "exp", (float(amp), float(rate)))
+    return Segment(lo, hi, None, mono, "convex", "exp", (float(amp), float(rate), float(at)))
 
 
 def uniform_density(lo: float, hi: float) -> PiecewiseDensity:

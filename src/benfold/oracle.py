@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .closed import _Record, _require_positive_int
-from .density import PiecewiseDensity, _LazyNumpy, _snap_int, _snapped, scale_density
+from .density import PiecewiseDensity, _LazyNumpy, _snap_int, scale_density
 
 np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
 
@@ -38,6 +38,8 @@ _ROUNDING_FLOOR = 2.0**-52 / 960.0
 # values of magnitude `scale`, is under their rounding: converging runs sit
 # 1.4x above it, uniform-log b=10, n=1000 at abs_tol 1e-18 1.4x below
 _SCALE_FLOOR = 2.0**-52 / 320.0
+# see adaptive_simpson; on 780 runs at abs_tol 1e-16 .. 3e-19 none that converge stop
+_STALL_OPEN, _STALL_GROWTH, _STALL_LEVELS = 4096, 3.0, 4
 # rounds of bracket refinement in bisect_root
 _BISECT_STEPS = 80
 # scan samples closer to the level than this share of the values' magnitude
@@ -86,61 +88,58 @@ class FoldedDensity:
 
     route names how fn sums them: "closed-form", "translate-sum" (custom
     segments), both joined by "+", or "callable" for a fold given as fn.
+    kinks holds the sorted points of (0, 1) where fn may be non-smooth.
     """
 
     fn: Callable
     route: str = "callable"
+    kinks: tuple = ()
 
     def __call__(self, t):
         return self.fn(t)
 
 
 def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
-    """Fold f modulo 1: eval(t) = sum over integers k of f(t + k).
+    """Fold f modulo 1: eval(t) = sum over integers k of f(t + k), nothing truncated.
 
-    Every segment has finite endpoints, so the translates are enumerated
-    exactly and nothing is truncated.  A point t owns the translates k of a
-    segment with lo <= t + k < hi (<= hi on the last segment) and k in
-    [floor(lo), ceil(hi)), a contiguous range that Segment.translate_sum
-    sums in closed form per kind, so a call costs O(segments) per point
-    whatever the scale of f.  A closed-form fold sums each point in math
-    with each segment's `series`, bound once per fold, and maps an array
-    point by point, so a scalar call returns bit for bit what the same
-    point gets inside a vector call; other folds sum an array in numpy.
+    t owns the translates k of a segment with lo <= t + k < hi.  An end e folds
+    to (k_e, t_e): the integer it snaps to and 0, else floor(e) and
+    e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  A closed-form
+    fold binds each segment's (at most three) ranges into `series` kernels
+    once, and a point costs two compares and a call per piece in math; an array
+    is mapped point by point.  Custom folds sum arrays in numpy with the same
+    ranges.  t outside [0, 1) is reduced by t - floor(t).
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     closed = routes == {"closed-form"}
-    pieces = []
-    last = len(f.segments) - 1
-    for i, seg in enumerate(f.segments):
-        width = seg.hi - seg.lo
-        k_lo = _snapped(seg.lo, width, math.floor)
-        k_end = max(_snapped(seg.hi, width, math.ceil), k_lo + 1)
-        tsum = seg.series() if closed else seg.translate_sum
-        pieces.append((tsum, seg.lo, seg.hi, k_lo, k_end, i == last))
+    ends = [[_fold_end(e, seg.hi - seg.lo) for e in (seg.lo, seg.hi)] for seg in f.segments]
+    pieces = []  # closed: per segment, its two images sorted and a kernel (or None) per range
+    for seg, ((k0, t0), (k1, t1)) in zip(f.segments, ends) if closed else ():
+        ranges = ((k0 + 1, k1 + 1), (k0 + (t0 > t1), k1 + (t1 > t0)), (k0, k1))
+        pieces.append((min(t0, t1), max(t0, t1), *(seg.series(a, b) if b > a else None for a, b in ranges)))
 
     def fn(t):
         if type(t) in (float, int) and closed:
-            t, out = float(t), 0.0
-            for series, lo, hi, k_lo, k_end, top in pieces:
-                k0 = max(math.ceil(lo - t), k_lo)
-                k1 = min(math.floor(hi - t) + 1 if top else math.ceil(hi - t), k_end)
-                if k1 > k0:
-                    out += series(t, k0, k1)
+            if not 0.0 <= t < 1.0:
+                t -= math.floor(t)
+            out = 0.0
+            for below, above, first, middle, last in pieces:
+                kernel = first if t < below else middle if t < above else last
+                if kernel is not None:
+                    out += kernel(t)
             return out
         ts = np.asarray(t, dtype=float)
         tt = ts.reshape(-1)
         if closed:
             out = np.array([fn(x) for x in tt.tolist()], dtype=float)
         else:
+            tt = tt - np.floor(tt)
             out = np.zeros(tt.shape, dtype=float)
-            for tsum, lo, hi, k_lo, k_end, top in pieces:
-                k0 = np.maximum(np.ceil(lo - tt), k_lo)
-                k1 = np.floor(hi - tt) + 1.0 if top else np.ceil(hi - tt)
-                out += tsum(tt, k0, np.minimum(k1, k_end))
+            for seg, ((k0, t0), (k1, t1)) in zip(f.segments, ends):
+                out += seg.translate_sum(tt, k0 + (tt < t0), k1 + (tt < t1))
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
-    return FoldedDensity(fn=fn, route="+".join(sorted(routes)))
+    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=tuple(_fold_kinks(f)))
 
 
 class _Integral(tuple):
@@ -206,9 +205,13 @@ def adaptive_simpson(
     the value of each piece between consecutive breakpoints.  Raises
     QuadratureError if a piece hits max_depth with more unresolved error
     than its tolerance, or if the tolerance is unattainable: a rejected
-    interval's tolerance is below the rounding floor of its Simpson estimates
-    (_ROUNDING_FLOOR) or of the magnitude `scale` of the values fn is
-    computed from (_SCALE_FLOOR), or the active set outgrows 2**20 intervals.
+    interval's tolerance is below the rounding of its Simpson estimates
+    (_ROUNDING_FLOOR) or of the values' magnitude `scale` (_SCALE_FLOOR),
+    the open error stopped falling, or 2**20 intervals are open.  Under the
+    rounding of `scale` an error estimate is noise that halves with the
+    interval, as the tolerance does, so the open set dies out or grows
+    geometrically: it counts as growing once 4096 or more open intervals are
+    such noise and their error over tolerance tripled in four levels.
     """
     if b <= a:
         return _Integral(0.0, 0.0, ())
@@ -231,12 +234,13 @@ def adaptive_simpson(
     ]
     tol, errs, unresolved = share, [], [0.0] * n_pieces
     parts = [[] for _ in range(n_pieces)]  # accepted values per piece
+    noise = []  # open error over tolerance, per level
     for depth in range(max_depth + 1):
         fnew = evalf(
             [0.5 * (iv[0] + 0.5 * (iv[0] + iv[1])) for iv in active]
             + [0.5 * (0.5 * (iv[0] + iv[1]) + iv[1]) for iv in active]
         )
-        kept, open_val, open_err, floored = [], 0.0, 0.0, False
+        kept, open_val, open_err, open_width, floored = [], 0.0, 0.0, 0.0, False
         reach = tol / _ROUNDING_FLOOR  # |S_left| + |S_right| + |S| above this rounds past tol
         for (p, q, fp, fm, fq, s, i), fl, fr in zip(active, fnew, fnew[len(active) :]):
             m = 0.5 * (p + q)
@@ -248,18 +252,19 @@ def adaptive_simpson(
                     kept += [(p, m, fp, fl, fm, s_left, i), (m, q, fm, fr, fq, s_right, i)]
                     open_val += s_left + s_right + err
                     open_err += abs(err)
+                    open_width += q - p
                     floored |= abs(s_left) + abs(s_right) + abs(s) > reach
                     floored |= scale * (q - p) * _SCALE_FLOOR > tol
                     continue
                 unresolved[i] += abs(err)
             parts[i].append(s_left + s_right + err)
             errs.append(abs(err))
-        if floored or len(kept) > _MAX_INTERVALS:
-            why = (
-                "below the rounding floor of the Simpson estimates"
-                if floored
-                else f"active subdivision count exceeded {_MAX_INTERVALS}"
-            )
+        noise.append(open_err / tol)
+        stalled = len(kept) >= _STALL_OPEN and open_err <= 2.0**-52 * scale * open_width
+        stalled = stalled and depth >= _STALL_LEVELS and noise[-1] >= _STALL_GROWTH * noise[-1 - _STALL_LEVELS]
+        if floored or stalled or len(kept) > _MAX_INTERVALS:
+            why = "below the rounding floor of the Simpson estimates" if floored else "the open error stopped falling"
+            why = why if floored or stalled else f"active subdivision count exceeded {_MAX_INTERVALS}"
             raise QuadratureError(
                 f"tolerance {abs_tol:g} unattainable: {why}",
                 math.fsum([*map(math.fsum, parts), open_val]),
@@ -327,16 +332,15 @@ def bisect_root(fn, a: float, b: float, ends=None) -> float:
     return 0.5 * (a + b)
 
 
+def _fold_end(e: float, width: float):
+    # (k, image mod 1) of an endpoint: (the integer it snaps to, 0.0) or (floor(e), e - floor(e))
+    k = _snap_int(e, width)
+    return (k, 0.0) if k is not None else (math.floor(e), e - math.floor(e))
+
+
 def _fold_kinks(f: PiecewiseDensity):
     """Images in (0, 1) of segment endpoints under folding; fn is non-smooth there."""
-    kinks = set()
-    for seg in f.segments:
-        width = seg.hi - seg.lo
-        for e in (seg.lo, seg.hi):
-            t = e - _snapped(e, width, math.floor)
-            if _snap_int(t, width) is None and 0.0 < t < 1.0:
-                kinks.add(t)
-    return sorted(kinks)
+    return sorted({_fold_end(e, seg.hi - seg.lo)[1] for seg in f.segments for e in (seg.lo, seg.hi)} - {0.0})
 
 
 def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
@@ -400,17 +404,15 @@ def delta_numeric(f: PiecewiseDensity, n: int, cfg: QuadratureConfig | None = No
     """
     n = _require_positive_int(n)
     cfg = cfg or QuadratureConfig()
-    scaled = scale_density(f, float(n))
-    folded = fold_mod1(scaled)
-    kinks = _fold_kinks(scaled)
-    pts = sorted({0.0, 1.0, *kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
+    folded = fold_mod1(scale_density(f, float(n)))
+    pts = sorted({0.0, 1.0, *folded.kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
     value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, cfg.max_depth, 65)
     if abs(signed) > max(10.0 * err, 1e-9):
         message = f"fold mass is off by {signed:.3g}: the quadrature missed part of the fold"
         raise QuadratureError(message, 0.5 * value, 0.5 * err)
     detail = (
         f"adaptive Simpson, n={n}, {n_pieces} sign-resolved pieces, "
-        f"{len(kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, fold {folded.route}"
+        f"{len(folded.kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, fold {folded.route}"
     )
     return OracleResult(0.5 * value, 0.5 * err, "quadrature_L1", detail)
 
@@ -518,8 +520,8 @@ def _invert_segment(seg, mass, u):
         v_lo = s * lo + c
         return lo + (np.sqrt(v_lo * v_lo + 2.0 * s * u * mass) - v_lo) / s
     if seg.kind == "exp":
-        amp, r = seg.params
-        return np.log(np.exp(r * lo) + u * r * mass / amp) / r
+        amp, r, at = seg.params
+        return at + np.log(np.exp(r * (lo - at)) + u * r * mass / amp) / r
     return _numeric_inverse(seg, mass, u)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from benfold import PiecewiseDensity, Segment, const_segment, exp_segment, linear_segment, normalized
+from benfold.density import _snapped
 
 
 def random_density(rng, max_cells=5, allow_gaps=True):
@@ -38,12 +39,33 @@ def random_density(rng, max_cells=5, allow_gaps=True):
 
 def custom_twin(seg):
     """The same segment as a custom one, evaluated through its function."""
-    return Segment(seg.lo, seg.hi, seg.fn, seg.monotonicity, seg.convexity)
+    return Segment(seg.lo, seg.hi, seg, seg.monotonicity, seg.convexity)
 
 
 def custom_twin_density(f):
     """f rebuilt from custom twins: no closed form anywhere, only callables."""
     return PiecewiseDensity(tuple(custom_twin(seg) for seg in f.segments))
+
+
+def reference_fold(f, t):
+    """The fold of f at one point t, with each translate range found at t.
+
+    The slow reference for fold_mod1's kernel table: a segment owns the
+    translates k with lo <= t + k < hi (<= hi on the last segment), clipped
+    to [floor(lo), ceil(hi)) with the ends snapped to integers, and each
+    range is summed by Segment.series, piece by piece in order.
+    """
+    last = len(f.segments) - 1
+    out = 0.0
+    for i, seg in enumerate(f.segments):
+        width = seg.hi - seg.lo
+        k_lo = _snapped(seg.lo, width, math.floor)
+        k_end = max(_snapped(seg.hi, width, math.ceil), k_lo + 1)
+        k0 = max(math.ceil(seg.lo - t), k_lo)
+        k1 = min(math.floor(seg.hi - t) + 1 if i == last else math.ceil(seg.hi - t), k_end)
+        if k1 > k0:
+            out += seg.series(k0, k1)(t)
+    return out
 
 
 def _random_segment(rng, lo, hi):

@@ -191,7 +191,9 @@ def _single_segment_density(kind, k, cells, y0, y1, log_rate):
         slope = (y1 - y0) / (hi - lo)
         return bf.normalized((bf.linear_segment(lo, hi, slope, y0 - slope * lo),))
     rate = math.copysign(10.0**log_rate, y1 - y0)
-    return bf.normalized((bf.exp_segment(lo, hi, math.exp(-rate * lo), rate),))
+    # value 1 at lo, with amp taken at x = 0 where e**(-rate*lo) is a double
+    at = 0.0 if abs(rate * lo) < 700.0 else lo
+    return bf.normalized((bf.exp_segment(lo, hi, math.exp(rate * (at - lo)), rate, at=at),))
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,6 +208,10 @@ def _single_segment_density(kind, k, cells, y0, y1, log_rate):
 )
 # values up to e**533 whose factor e**(rate*x) overflows on its own
 @example(kind="exp", k=1, cells=3, y0=0.0, y1=0.0, log_rate=2.25, seed=0)
+# a normalized amp at x = 0 of 237 * e**-948, which no double holds
+@example(kind="exp", k=2, cells=2, y0=0.0, y1=1.0, log_rate=2.375, seed=0)
+# an amp at x = 0 of e**711
+@example(kind="exp", k=-3, cells=1, y0=0.0, y1=1.0, log_rate=2.375, seed=0)
 def test_certified_convex_eighth_is_monotone_and_convex_on_a_grid(
     kind, k, cells, y0, y1, log_rate, seed
 ):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import benfold as bf
 from benfold.density import DensityError
 
-from _support import _random_segment, custom_twin, custom_twin_density, random_density
+from _support import _random_segment, custom_twin, custom_twin_density, random_density, reference_fold
 
 LN10 = math.log(10.0)
 
@@ -101,6 +101,16 @@ def test_exp_segment_with_zero_amp_is_refused():
             bf.Segment(0.0, 0.5, None, "increasing", "convex", "exp", (0.0, rate))
     with pytest.raises(DensityError):
         bf.exp_segment(0.0, 0.5, 0.0, 800.0)
+
+
+def test_normalized_moves_an_out_of_range_exp_amp_to_the_larger_end():
+    # the amp at x = 0 of these normalized pieces, 237 * e**-948 and
+    # 237 * e**711, is no double; their values, up to 237, are
+    for seg, end in ((bf.exp_segment(2.0, 4.0, math.exp(-474.0), 237.0), 4.0), (bf.exp_segment(3.0, 5.0, math.exp(700.0), -237.0), 3.0)):
+        g = bf.normalized((seg,)).segments[0]
+        assert g.params == (pytest.approx(237.0, rel=1e-12), seg.params[1], end)
+        assert g.mass() == pytest.approx(1.0, abs=1e-12)
+        assert g(end) == g.params[0] and g(3.5) == pytest.approx(237.0 * math.exp(-0.5 * 237.0), rel=1e-12)
 
 
 def test_segment_kind_and_params_are_validated():
@@ -267,7 +277,7 @@ def test_segment_closed_form_matches_quadrature():
     from scipy.integrate import quad
 
     seg = bf.exp_segment(0.3, 1.7, 0.4, 1.1)
-    want, _ = quad(seg.fn, 0.5, 1.5, epsabs=1e-12)
+    want, _ = quad(seg, 0.5, 1.5, epsabs=1e-12)
     assert seg.mass(0.5, 1.5) == pytest.approx(want, abs=1e-10)
 
 
@@ -343,6 +353,51 @@ def test_fold_closed_form_matches_translate_sum(seed, n, ts):
     np.testing.assert_allclose(closed(np.array(ts)), summed(np.array(ts)), rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=10_000),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=40),
+)
+def test_fold_kernels_match_the_per_point_reference(seed, n, ts):
+    # the kernel table resolves each translate range once per interval
+    # between kinks; away from the kinks (and from 0, which the snapped ends
+    # fold to) that is the range the per-point rule finds, summed alike
+    f = bf.scale_density(random_density(np.random.default_rng(seed)), n)
+    folded = bf.fold_mod1(f)
+    edges = (0.0, *folded.kinks, 1.0)
+    ts = [t for t in ts if min(abs(t - e) for e in edges) >= 1e-9]
+    assert [folded(t) for t in ts] == [reference_fold(f, t) for t in ts]
+
+
+def test_fold_owns_every_translate_of_a_snapped_endpoint():
+    # 0.28 * 25 is 7.000000000000001, which snaps to 7, so no kink sits at 0
+    # and translate 7 is owned on the whole cell; finding the range at each
+    # point once dropped it for t below ~4.4e-16, where the fold read 0.96
+    g = bf.scale_density(bf.PiecewiseDensity((bf.const_segment(0.28, 1.28, 1.0),)), 25)
+    assert g.segments[0].lo == 7.000000000000001
+    for folded in (bf.fold_mod1(g), bf.fold_mod1(custom_twin_density(g))):
+        assert folded.kinks == ()
+        assert [folded(t) for t in (0.0, 1e-17, 1e-16)] == [1.0, 1.0, 1.0]
+
+
+def test_fold_keeps_every_translate_next_to_one():
+    # at n = 1e5, hi - t rounds to an integer for t within ~7e-12 of 1, where
+    # finding the range at each point once dropped a translate and read 0.99999
+    f = bf.scale_density(bf.triangular_density(0.0, 1.0, 2.0), 100_000)
+    for folded in (bf.fold_mod1(f), bf.fold_mod1(custom_twin_density(f))):
+        assert folded(1.0 - 1e-12) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fold_is_periodic():
+    f = bf.scale_density(bf.triangular_density(0.0, 0.3, 2.0), 3)
+    for folded in (bf.fold_mod1(f), bf.fold_mod1(custom_twin_density(f))):
+        ts = np.array([0.0, 0.125, 0.5, 0.75])
+        for shift in (-2.0, 1.0, 3.0):
+            np.testing.assert_array_equal(folded(ts + shift), folded(ts))
+            assert [folded(float(t) + shift) for t in ts] == list(folded(ts))
+
+
 def test_custom_fold_scalar_and_vector_agree_exactly():
     # more points and translates than one block holds: block sums still add
     # up in the same order for a point whatever the call shape
@@ -354,9 +409,9 @@ def test_custom_fold_scalar_and_vector_agree_exactly():
 
 def test_series_is_for_built_in_kinds_only():
     seg = bf.exp_segment(-3.0, 5.0, 0.4, -0.8)
-    assert seg.series()(0.25, -3, 5) == seg.translate_sum(0.25, -3.0, 5.0)
+    assert seg.series(-3, 5)(0.25) == seg.translate_sum(0.25, -3.0, 5.0)
     with pytest.raises(DensityError, match="no closed-form series"):
-        custom_twin(seg).series()
+        custom_twin(seg).series(-3, 5)
 
 
 def test_translate_sum_per_kind_matches_explicit_sum():
@@ -577,10 +632,10 @@ def test_tv_with_interior_gap():
 def test_grid_variation_monotone_segment_is_exact_any_grid():
     f = bf.uniform_log_density(10)
     seg = f.segments[0]
-    closed = abs(seg.fn(1.0) - seg.fn(0.0))
+    closed = abs(seg(1.0) - seg(0.0))
     prev = 0.0
     for points in (5, 9, 17, 65, 257):
-        est = bf.grid_variation(seg.fn, 0.0, 1.0, points)
+        est = bf.grid_variation(seg, 0.0, 1.0, points)
         assert est == pytest.approx(closed, rel=1e-12)
         assert est >= prev - 1e-12
         prev = est

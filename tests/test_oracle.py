@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -101,6 +102,54 @@ def test_tolerance_below_the_fold_rounding_fails_fast(density, n, tol):
     # magnitude, so these end at once instead of at the 2**20-interval cap
     with pytest.raises(bf.QuadratureError, match="rounding floor"):
         bf.delta_numeric(density(), n, QuadratureConfig(abs_tol=tol))
+
+
+def _counting_fold(monkeypatch):
+    # fold_mod1 with its fn wrapped through dataclasses.replace, as the
+    # benchmark's tracer wraps it: returns the list of points per fold
+    fold, calls = oracle.fold_mod1, []
+
+    def counted(f):
+        folded, points = fold(f), []
+        calls.append(points)
+
+        def fn(t):
+            points.append(t)
+            return folded.fn(t)
+
+        return dataclasses.replace(folded, fn=fn)
+
+    monkeypatch.setattr(oracle, "fold_mod1", counted)
+    return calls
+
+
+def test_tolerance_under_the_rounding_noise_stops_refining(monkeypatch):
+    # the open error here is rounding noise from its first levels on, and
+    # the open set grows without end instead of dying out: the run stops
+    # once that shows instead of refining to the 2**20-interval cap
+    calls = _counting_fold(monkeypatch)
+    with pytest.raises(bf.QuadratureError, match="stopped falling"):
+        bf.delta_numeric(bf.uniform_log_density(10), 1, QuadratureConfig(abs_tol=1e-17))
+    assert len(calls[0]) < 200_000
+
+
+@pytest.mark.parametrize(
+    "density, n, points, value",
+    [
+        (lambda: bf.uniform_log_density(10), 1000, 92, "0.0002878231154296667"),
+        (lambda: bf.uniform_log_density(2), 1, 139, "0.08607133205593381"),
+        (lambda: bf.triangular_density(0.0, 1.0, 2.0), 59, 70, "5.551115123125782e-17"),
+        (lambda: bf.triangular_density(0.0, 0.3, 2.0), 3, 161, "0.004901960784313728"),
+    ],
+)
+def test_oracle_reads_the_fold_only_through_fn(monkeypatch, density, n, points, value):
+    # the benchmark counts fold points by wrapping FoldedDensity.fn with
+    # dataclasses.replace: every point the oracle evaluates must pass there,
+    # and the wrapped fold must give the same value
+    calls = _counting_fold(monkeypatch)
+    r = bf.delta_numeric(density(), n)
+    assert [len(c) for c in calls] == [points]
+    assert repr(r.value) == value
 
 
 def test_tight_but_attainable_tolerances_still_converge():
