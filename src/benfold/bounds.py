@@ -6,8 +6,9 @@ the variation bounds TV/4 and TV/(4n) with the convexity-boosted
 log-uniform coefficients and tail majorant it is fed.  The log-uniform
 closed forms live in `closed` and are re-exported here.
 
-Every report carries the shape hypotheses the method relied on and whether
-they were certified from segment flags or merely asserted by the caller.
+Every report carries the hypotheses the method relied on and where each
+came from: segment flags and kinds, a grid estimate, or the caller's tail
+bound.  The (sup-inf)/8 bound is certified or refused, never assumed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .closed import (
 )
 from .density import (
     PiecewiseDensity,
-    _piece_list,
     _snap_int,
     tv_full_line,
     tv_integer_delineated,
@@ -134,77 +134,33 @@ def bound_tv_scaled(f: PiecewiseDensity, n) -> BoundReport:
     return BoundReport("tv_scaled", value, (route, _variation_hypothesis(f)), n=scale)
 
 
-def bound_convex_eighth(
-    f: PiecewiseDensity,
-    n_lo: float | None = None,
-    m_hi: float | None = None,
-    assume_hypotheses: bool = False,
-) -> BoundReport:
-    """Convexity-boosted bound (sup f - inf f)/8 over the interval (n_lo, m_hi).
+def bound_convex_eighth(f: PiecewiseDensity) -> BoundReport:
+    """Convexity-boosted bound (sup f - inf f)/8 over the integer interval of f.
 
     The eighth constant treats straight lines as the worst monotone convex
     shape, which holds when one affine or exponential segment covers the
     whole interval; a ramp that idles at zero before rising, or a power-law
     profile like x**1.5, exceeds it.  So only that case is certified, from
-    its flags and its kind.  Anything else raises DensityError,
-    or with assume_hypotheses is reported as caller-asserted; hard
-    contradictions such as opposing monotone flags, concave flags, interior
-    gaps, or interior jumps are rejected regardless.
+    its flags and its kind, and anything else raises DensityError.
     """
-    auto_n, auto_m = f.delineated_interval()
-    n_lo = float(auto_n) if n_lo is None else float(n_lo)
-    m_hi = float(auto_m) if m_hi is None else float(m_hi)
-    s_lo, s_hi = f.support()
-    if s_lo < n_lo - 1e-12 or s_hi > m_hi + 1e-12:
-        raise DensityError(
-            f"support [{s_lo}, {s_hi}] is not inside the stated interval ({n_lo}, {m_hi})"
-        )
-
-    directions = {
-        seg.monotonicity for seg in f.segments if seg.monotonicity not in ("constant",)
-    }
-    if {"increasing", "decreasing"} <= directions:
-        raise DensityError("segment flags contradict a single monotone direction")
-    if any(seg.convexity in ("concave", "neither") for seg in f.segments):
-        raise DensityError("a segment flag contradicts convexity")
-
-    pieces = _piece_list(f)
-    if any(seg is None for seg, _, _ in pieces):
-        raise DensityError("interior zero gap breaks monotonicity and convexity")
-    vals = [(float(seg(lo)), float(seg(hi))) for seg, lo, hi in pieces]
-    scale = max(max(v) for v in vals) + 1e-30
-    for (_, left_hi), (right_lo, _) in zip(vals, vals[1:]):
-        if abs(right_lo - left_hi) > 1e-9 * scale:
-            raise DensityError("interior jump between segments breaks convexity")
-    # a jump up from zero strictly inside the interval also breaks convexity
-    if s_lo > n_lo + 1e-12 and vals[0][0] > 1e-9 * scale:
-        raise DensityError("jump from zero at the left support edge inside the interval")
-    if s_hi < m_hi - 1e-12 and vals[-1][1] > 1e-9 * scale:
-        raise DensityError("jump to zero at the right support edge inside the interval")
-
-    flags_certify = directions <= {"increasing"} or directions <= {"decreasing"} or not directions
-    flags_certify = flags_certify and all(seg.convexity == "convex" for seg in f.segments)
-    certified = (
-        flags_certify
-        and len(f.segments) == 1
-        and f.segments[0].kind != "custom"
-        and s_lo <= n_lo + 1e-12
-        and s_hi >= m_hi - 1e-12
-    )
-    if not certified and not assume_hypotheses:
+    seg = f.segments[0]
+    n_lo, m_hi = f.delineated_interval()
+    if (
+        len(f.segments) > 1
+        or seg.kind == "custom"
+        or seg.monotonicity == "unknown"
+        or seg.convexity != "convex"
+        or not n_lo - 1e-12 <= seg.lo <= n_lo + 1e-12
+        or not m_hi - 1e-12 <= seg.hi <= m_hi + 1e-12
+    ):
         raise DensityError(
             "certified only for one affine or exponential segment with monotone and "
-            f"convex flags covering ({n_lo:g}, {m_hi:g}); "
-            "pass assume_hypotheses=True to assert the hypotheses"
+            f"convex flags covering ({n_lo:g}, {m_hi:g})"
         )
     # const, linear and exp (amp > 0) are monotone and convex by construction
-    label = "certified (segment flags and kind)" if certified else "caller-asserted"
+    label = "certified (segment flags and kind)"
     hyp = (f"monotone: {label}", f"convex: {label}", f"one affine or exponential segment: {label}")
-
-    flat = [v for pair in vals for v in pair]
-    sup = max(flat)
-    inf = min(flat)
-    return BoundReport("convex_eighth", (sup - inf) / 8.0, hyp)
+    return BoundReport("convex_eighth", abs(float(seg(seg.hi)) - float(seg(seg.lo))) / 8.0, hyp)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,8 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
             )
         except KeyError as exc:
             raise DensityError(f"segment record missing field {exc}") from exc
+        except TypeError as exc:  # a record, kind, bound or params of the wrong type
+            raise DensityError(f"malformed segment record {entry!r}") from exc
         mono = entry.get("monotonicity")
         conv = entry.get("convexity")
         if mono or conv:

@@ -6,7 +6,7 @@ convexity-boosted bounds run on certified closed forms; "unknown" flags
 degrade to grid estimation, which is reported as a lower bound.
 
 numpy is imported on first array use.  Building densities from built-in
-segments, their masses, their variation and their translate sums at Python
+segments, their masses, their variation and their translate series at Python
 floats need only `math`, so `benfold bound` and `benfold oracle` on them run
 without numpy.  Segments and densities are `closed._Record`s, so this
 module does not import `dataclasses` either; folding lives in `oracle`.
@@ -77,9 +77,11 @@ def _brentq(fn, a: float, b: float) -> float:
 
 
 def _blocked_translate_sum(seg, t, k0, k1):
-    # Points and translates go in fixed-size blocks, translate blocks on a
-    # fixed grid of k, each row summed whole and the block sums added in
-    # order of k: a point's summation order never depends on the call.
+    # Sum of seg(t + k) over k0 <= k < k1, for 1-d arrays t, k0, k1, in
+    # memory that k1 - k0 does not grow.  Points and translates go in
+    # fixed-size blocks, translate blocks on a fixed grid of k, each row
+    # summed whole and the block sums added in order of k: a point's
+    # summation order never depends on the call.
     out = np.zeros(t.shape, dtype=float)
     for p in range(0, t.size, _FOLD_BLOCK_POINTS):
         tp = t[p:p + _FOLD_BLOCK_POINTS, None]
@@ -274,20 +276,6 @@ class Segment(_Record):
                     _brentq(lambda x: float(self(x)) - level, float(xs[i]), float(xs[i + 1]))
                 )
         return roots
-
-    def translate_sum(self, t, k0, k1):
-        """Sum of self(t + k) over the integers k0 <= k < k1.
-
-        Built-in kinds take one point as floats (k0, k1 integer-valued) or 1-d
-        arrays and sum each point with `series`; a custom segment takes 1-d
-        arrays and sums in fixed blocks, in memory that k1 - k0 does not grow.
-        """
-        if self.kind == "custom":
-            return _blocked_translate_sum(self, t, k0, k1)
-        if type(t) in (float, int):
-            return self.series(k0, k1)(t) if k1 > k0 else 0.0
-        args = (np.asarray(v, dtype=float).tolist() for v in (t, k0, k1))
-        return np.array([self.series(a, b)(x) if b > a else 0.0 for x, a, b in zip(*args)], dtype=float)
 
     def series(self, k0, k1):
         """The function t -> sum of self(t + k) over the integers k0 <= k < k1.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .closed import _Record, _require_positive_int
-from .density import PiecewiseDensity, _LazyNumpy, _snap_int, scale_density
+from .density import PiecewiseDensity, _blocked_translate_sum, _LazyNumpy, _snap_int, scale_density
 
 np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
 
@@ -104,42 +104,49 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
 
     t owns the translates k of a segment with lo <= t + k < hi.  An end e folds
     to (k_e, t_e): the integer it snaps to and 0, else floor(e) and
-    e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  A closed-form
-    fold binds each segment's (at most three) ranges into `series` kernels
-    once, and a point costs two compares and a call per piece in math; an array
-    is mapped point by point.  Custom folds sum arrays in numpy with the same
-    ranges.  t outside [0, 1) is reduced by t - floor(t).
+    e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  Each built-in
+    segment's (at most three) ranges are bound into `series` kernels once.
+    A point of a fold with no custom segment costs two compares and a call
+    per piece in math.  An array, or any point of a fold with a custom
+    segment, sums the kernels point by point and then adds each custom
+    segment's translates, summed in numpy blocks over the same ranges.
+    t outside [0, 1) is reduced by t - floor(t).
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
-    closed = routes == {"closed-form"}
-    ends = [[_fold_end(e, seg.hi - seg.lo) for e in (seg.lo, seg.hi)] for seg in f.segments]
-    pieces = []  # closed: per segment, its two images sorted and a kernel (or None) per range
-    for seg, ((k0, t0), (k1, t1)) in zip(f.segments, ends) if closed else ():
+    pieces = []  # built-in: per segment, its two images sorted and a kernel (or None) per range
+    custom = []  # custom: per segment, itself and its two folded ends
+    for seg in f.segments:
+        (k0, t0), (k1, t1) = (_fold_end(e, seg.hi - seg.lo) for e in (seg.lo, seg.hi))
+        if seg.kind == "custom":
+            custom.append((seg, k0, t0, k1, t1))
+            continue
         ranges = ((k0 + 1, k1 + 1), (k0 + (t0 > t1), k1 + (t1 > t0)), (k0, k1))
         pieces.append((min(t0, t1), max(t0, t1), *(seg.series(a, b) if b > a else None for a, b in ranges)))
 
-    def fn(t):
-        if type(t) in (float, int) and closed:
-            if not 0.0 <= t < 1.0:
-                t -= math.floor(t)
-            out = 0.0
-            for below, above, first, middle, last in pieces:
-                kernel = first if t < below else middle if t < above else last
-                if kernel is not None:
-                    out += kernel(t)
-            return out
-        ts = np.asarray(t, dtype=float)
-        tt = ts.reshape(-1)
-        if closed:
-            out = np.array([fn(x) for x in tt.tolist()], dtype=float)
-        else:
+    def summed(custom):
+        # the fold of the built-in pieces plus the given custom segments
+        def fn(t):
+            if type(t) in (float, int) and not custom:
+                if not 0.0 <= t < 1.0:
+                    t -= math.floor(t)
+                out = 0.0
+                for below, above, first, middle, last in pieces:
+                    kernel = first if t < below else middle if t < above else last
+                    if kernel is not None:
+                        out += kernel(t)
+                return out
+            ts = np.asarray(t, dtype=float)
+            tt = ts.reshape(-1)
+            out = np.array([kernels(x) for x in tt.tolist()], dtype=float)
             tt = tt - np.floor(tt)
-            out = np.zeros(tt.shape, dtype=float)
-            for seg, ((k0, t0), (k1, t1)) in zip(f.segments, ends):
-                out += seg.translate_sum(tt, k0 + (tt < t0), k1 + (tt < t1))
-        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+            for seg, k0, t0, k1, t1 in custom:
+                out += _blocked_translate_sum(seg, tt, k0 + (tt < t0), k1 + (tt < t1))
+            return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
-    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=tuple(_fold_kinks(f)))
+        return fn
+
+    kernels = summed(())
+    return FoldedDensity(fn=summed(custom), route="+".join(sorted(routes)), kinks=tuple(_fold_kinks(f)))
 
 
 class _Integral(tuple):

@@ -50,10 +50,11 @@ def custom_twin_density(f):
 def reference_fold(f, t):
     """The fold of f at one point t, with each translate range found at t.
 
-    The slow reference for fold_mod1's kernel table: a segment owns the
-    translates k with lo <= t + k < hi (<= hi on the last segment), clipped
-    to [floor(lo), ceil(hi)) with the ends snapped to integers, and each
-    range is summed by Segment.series, piece by piece in order.
+    The slow reference for fold_mod1's kernels, whose ranges are resolved
+    once per fold: a segment owns the translates k with lo <= t + k < hi
+    (<= hi on the last segment), clipped to [floor(lo), ceil(hi)) with the
+    ends snapped to integers, and each range is summed by Segment.series,
+    piece by piece in order.
     """
     last = len(f.segments) - 1
     out = 0.0

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -34,6 +35,7 @@ def test_criterion_1_table_reproduction():
         capture_output=True,
         text=True,
         timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(bf.__file__).resolve().parents[1])},
     )
     elapsed = time.perf_counter() - start
     ok = proc.returncode == 0 and proc.stdout == GOLDEN.read_text() and elapsed < 1.0

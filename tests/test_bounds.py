@@ -137,37 +137,37 @@ def test_convex_eighth_rejects_contradictions():
 
 
 def test_convex_eighth_caller_assertion():
+    # unknown flags are refused, whatever the kind implies
     flagged = bf.uniform_log_density(10).segments[0]
-    seg = bf.Segment(flagged.lo, flagged.hi, None, "unknown", "unknown", "exp", flagged.params)
-    f = bf.PiecewiseDensity((seg,))
-    with pytest.raises(DensityError):
-        bf.bound_convex_eighth(f)
-    r = bf.bound_convex_eighth(f, assume_hypotheses=True)
-    assert r.value == pytest.approx(LN10 / 8.0, rel=1e-13)
-    assert all("caller-asserted" in h for h in r.hypotheses_verified)
+    for flags in (("unknown", "unknown"), ("unknown", "convex"), ("increasing", "unknown")):
+        seg = bf.Segment(flagged.lo, flagged.hi, None, *flags, "exp", flagged.params)
+        with pytest.raises(DensityError, match="certified only"):
+            bf.bound_convex_eighth(bf.PiecewiseDensity((seg,)))
 
 
 def test_convex_eighth_interval_mismatch():
-    f = bf.uniform_density(0, 3)
-    with pytest.raises(DensityError):
-        bf.bound_convex_eighth(f, 0, 2)  # support pokes out of (0, 2)
+    # the interval snaps the left end to 3, but the support starts 2e-12
+    # outside it: farther than the 1e-12 the bound allows
+    f = bf.uniform_density(2.999999999998, 4.0)
+    assert f.delineated_interval() == (3, 4)
+    with pytest.raises(DensityError, match="certified only"):
+        bf.bound_convex_eighth(f)
 
 
 def test_convex_eighth_is_not_universal_documented_counterexample():
     # the eighth constant treats straight lines as the worst monotone convex
     # shape; a ramp that idles at zero before rising beats it: the true
     # distance is 4/9 while (sup - inf)/8 is 3/8.  The ramp does not cover
-    # its integer interval (0, 1), so the bound refuses to certify it and
-    # labels the value it computes on request as caller-asserted.
+    # its integer interval (0, 1), so the bound refuses it.
     ramp = bf.PiecewiseDensity((bf.linear_segment(1.0 / 3.0, 1.0, 4.5, -1.5),))
     with pytest.raises(DensityError, match="certified only"):
         bf.bound_convex_eighth(ramp)
-    report = bf.bound_convex_eighth(ramp, assume_hypotheses=True)
-    assert all("caller-asserted" in h for h in report.hypotheses_verified)
-    assert report.value == pytest.approx(3.0 / 8.0, rel=1e-14)
+    seg = ramp.segments[0]
+    eighth = (seg(seg.hi) - seg(seg.lo)) / 8.0
+    assert eighth == pytest.approx(3.0 / 8.0, rel=1e-14)
     truth = bf.delta_numeric(ramp, 1)
     assert truth.value == pytest.approx(4.0 / 9.0, abs=1e-10)
-    assert truth.value > report.value + 0.069
+    assert truth.value > eighth + 0.069
     # the hypotheses-only bounds stay sound on the same density
     assert truth.value <= bf.bound_tv_quarter(ramp).value + 1e-10
     assert truth.value <= bf.bound_step_density(ramp).value + 1e-10
@@ -496,7 +496,7 @@ def test_narrow_support_keeps_its_cell(lo, hi):
     assert f.delineated_interval() == (lo, lo + 1)
     reports = [bf.bound_step_density(f), bf.bound_tv_quarter(f), bf.bound_tv_scaled(f, 1)]
     assert all(r.value >= 1.0 - 1e-6 for r in reports), reports
-    with pytest.raises(DensityError, match="jump to zero"):
+    with pytest.raises(DensityError, match="certified only"):
         bf.bound_convex_eighth(f)
 
 

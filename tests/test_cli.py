@@ -639,6 +639,17 @@ def test_piecewise_file_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "mass" in err
+    # records of the wrong type: a bare number, a null bound, params as a
+    # list, a kind as a list
+    good = {"lo": 0, "hi": 1, "kind": "const", "params": {"value": 1.0}}
+    for records in ([1, 2], [{**good, "lo": None}], [{**good, "params": [1]}], [{**good, "kind": ["const"]}]):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(records))
+        code, _, err = run_cli(
+            capsys, "bound", "--density", f"piecewise {malformed}", "--method", "tv_quarter"
+        )
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
 
 
 def test_usage_error_exits_2():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
-from benfold.density import DensityError
+from benfold.density import DensityError, _blocked_translate_sum
 
 from _support import _random_segment, custom_twin, custom_twin_density, random_density, reference_fold
 
@@ -360,9 +360,10 @@ def test_fold_closed_form_matches_translate_sum(seed, n, ts):
     ts=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=40),
 )
 def test_fold_kernels_match_the_per_point_reference(seed, n, ts):
-    # the kernel table resolves each translate range once per interval
-    # between kinks; away from the kinks (and from 0, which the snapped ends
-    # fold to) that is the range the per-point rule finds, summed alike
+    # fold_mod1 resolves each segment's translate ranges once per fold,
+    # split at its two images; away from the kinks (and from 0, which the
+    # snapped ends fold to) a point's range is the one the per-point rule
+    # finds, summed alike
     f = bf.scale_density(random_density(np.random.default_rng(seed)), n)
     folded = bf.fold_mod1(f)
     edges = (0.0, *folded.kinks, 1.0)
@@ -409,9 +410,11 @@ def test_custom_fold_scalar_and_vector_agree_exactly():
 
 def test_series_is_for_built_in_kinds_only():
     seg = bf.exp_segment(-3.0, 5.0, 0.4, -0.8)
-    assert seg.series(-3, 5)(0.25) == seg.translate_sum(0.25, -3.0, 5.0)
+    twin = custom_twin(seg)
+    blocked = _blocked_translate_sum(twin, np.array([0.25]), np.array([-3.0]), np.array([5.0]))
+    assert seg.series(-3, 5)(0.25) == pytest.approx(float(blocked[0]), rel=1e-13, abs=0)
     with pytest.raises(DensityError, match="no closed-form series"):
-        custom_twin(seg).series(-3, 5)
+        twin.series(-3, 5)
 
 
 def test_translate_sum_per_kind_matches_explicit_sum():
@@ -423,9 +426,13 @@ def test_translate_sum_per_kind_matches_explicit_sum():
         bf.linear_segment(-3.0, 5.0, 0.3, 1.2),
         bf.exp_segment(-3.0, 5.0, 0.4, -0.8),
     ):
-        want = [sum(float(seg(ti + k)) for k in range(int(a), int(b))) for ti, a, b in zip(t, k0, k1)]
-        for s in (seg, custom_twin(seg)):
-            np.testing.assert_allclose(s.translate_sum(t, k0, k1), want, rtol=1e-13, atol=0)
+        ranges = [(float(ti), int(a), int(b)) for ti, a, b in zip(t, k0, k1)]
+        want = [sum(float(seg(ti + k)) for k in range(a, b)) for ti, a, b in ranges]
+        # the fold calls series on nonempty ranges only
+        series = [seg.series(a, b)(ti) if b > a else 0.0 for ti, a, b in ranges]
+        np.testing.assert_allclose(series, want, rtol=1e-13, atol=0)
+        blocked = _blocked_translate_sum(custom_twin(seg), t, k0, k1)
+        np.testing.assert_allclose(blocked, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +451,8 @@ def test_exp_translate_sum_without_underflow_or_overflow(lo, hi, amp, rate):
     with np.errstate(all="ignore"):
         plain = amp / math.expm1(rate) * np.exp(rate * (t + k0)) * np.expm1(rate * (k1 - k0))
     assert not np.allclose(plain, want, rtol=1e-6, atol=0)
-    np.testing.assert_allclose(seg.translate_sum(t, k0, k1), want, rtol=1e-12, atol=0)
+    kernel = seg.series(int(lo), int(hi))
+    np.testing.assert_allclose([kernel(float(ti)) for ti in t], want, rtol=1e-12, atol=0)
 
 
 def test_fold_of_long_steep_exp_piece_is_finite():
@@ -465,6 +473,23 @@ def test_fold_route_names_the_summation():
     assert bf.fold_mod1(f).route == "closed-form"
     assert bf.fold_mod1(custom_twin_density(f)).route == "translate-sum"
     assert bf.fold_mod1(mixed).route == "closed-form+translate-sum"
+
+
+@pytest.mark.parametrize("n", (1, 3, 1000))
+def test_mixed_fold_matches_the_closed_form_fold(n):
+    # one built-in and one custom segment, each summed its own way: the fold
+    # reads as the all-built-in one, alike for scalars and arrays
+    f = bf.normalized((bf.exp_segment(0.0, 0.7, 1.0, 1.5), bf.linear_segment(0.7, 1.3, -1.0, 2.0)))
+    mixed = bf.PiecewiseDensity((f.segments[0], custom_twin(f.segments[1])))
+    closed = bf.fold_mod1(bf.scale_density(f, n))
+    folded = bf.fold_mod1(bf.scale_density(mixed, n))
+    assert folded.route == "closed-form+translate-sum"
+    ts = np.linspace(0.0, 1.0, 47, endpoint=False)
+    scalars = [folded(float(t)) for t in ts]
+    assert scalars == list(folded(ts))
+    np.testing.assert_allclose(scalars, [closed(float(t)) for t in ts], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(folded(ts), closed(ts), rtol=1e-12, atol=1e-12)
+    assert bf.delta_numeric(mixed, n).value == pytest.approx(bf.delta_numeric(f, n).value, abs=1e-10)
 
 
 def test_custom_fold_memory_does_not_grow_with_n():
