@@ -196,7 +196,8 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
     """Load a density from a JSON array of segment records.
 
     Each record: {lo, hi, kind: "const"|"linear"|"exp", params,
-    monotonicity?, convexity?}.  Flags default to what the kind implies.
+    monotonicity?, convexity?}.  lo, hi and params are JSON numbers, the
+    flags strings; flags default to what the kind implies.
     """
     import json
 
@@ -218,19 +219,18 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
                 raise DensityError(f"unknown segment kind {kind!r}")
             builder, names = builders[kind]
             params = entry.get("params", {})
-            seg = builder(
-                float(entry["lo"]), float(entry["hi"]), *(float(params[k]) for k in names)
-            )
+            numbers = (entry["lo"], entry["hi"], *(params[k] for k in names))
+            if not all(type(x) in (int, float) for x in numbers):  # a bool is no JSON number
+                raise TypeError("bounds and params must be numbers")
+            seg = builder(*map(float, numbers))
+            flags = [entry.get(k, getattr(seg, k)) for k in ("monotonicity", "convexity")]
+            if not all(type(flag) is str for flag in flags):
+                raise TypeError("flags must be strings")
         except KeyError as exc:
             raise DensityError(f"segment record missing field {exc}") from exc
-        except TypeError as exc:  # a record, kind, bound or params of the wrong type
+        except (TypeError, OverflowError) as exc:  # a value of the wrong type, or an int past the floats
             raise DensityError(f"malformed segment record {entry!r}") from exc
-        mono = entry.get("monotonicity")
-        conv = entry.get("convexity")
-        if mono or conv:
-            mono, conv = mono or seg.monotonicity, conv or seg.convexity
-            seg = Segment(seg.lo, seg.hi, None, mono, conv, seg.kind, seg.params)
-        segments.append(seg)
+        segments.append(Segment(seg.lo, seg.hi, None, *flags, seg.kind, seg.params))
     return PiecewiseDensity(tuple(segments))
 
 

@@ -56,9 +56,9 @@ _SNAP_WIDTH_SHARE = 1e-3
 _ZERO_MASS = 1e-15
 # a density's total mass must be 1 within this
 _TOTAL_MASS_TOL = 1e-10
-# block shape of the translate sum of a custom segment (points x translates)
-_FOLD_BLOCK_POINTS = 64
-_FOLD_BLOCK_TRANSLATES = 1024
+# translates a custom segment's series sums per numpy call; custom folds at
+# n = 1e5 ran about 3x slower with 1024 and 2x slower with 65536
+_SERIES_BLOCK = 16384
 
 
 def _quad(fn, a: float, b: float) -> float:
@@ -74,28 +74,6 @@ def _brentq(fn, a: float, b: float) -> float:
     from scipy.optimize import brentq
 
     return float(brentq(fn, a, b, xtol=1e-14, rtol=1e-15))
-
-
-def _blocked_translate_sum(seg, t, k0, k1):
-    # Sum of seg(t + k) over k0 <= k < k1, for 1-d arrays t, k0, k1, in
-    # memory that k1 - k0 does not grow.  Points and translates go in
-    # fixed-size blocks, translate blocks on a fixed grid of k, each row
-    # summed whole and the block sums added in order of k: a point's
-    # summation order never depends on the call.
-    out = np.zeros(t.shape, dtype=float)
-    for p in range(0, t.size, _FOLD_BLOCK_POINTS):
-        tp = t[p:p + _FOLD_BLOCK_POINTS, None]
-        kp0 = k0[p:p + _FOLD_BLOCK_POINTS, None]
-        kp1 = k1[p:p + _FOLD_BLOCK_POINTS, None]
-        first = math.floor(kp0.min() / _FOLD_BLOCK_TRANSLATES) * _FOLD_BLOCK_TRANSLATES
-        for start in range(first, int(kp1.max()), _FOLD_BLOCK_TRANSLATES):
-            ks = np.arange(start, start + _FOLD_BLOCK_TRANSLATES, dtype=float)
-            owned = (ks >= kp0) & (ks < kp1)
-            if owned.any():
-                vals = np.zeros(owned.shape, dtype=float)
-                vals[owned] = seg((tp + ks)[owned])
-                out[p:p + _FOLD_BLOCK_POINTS] += vals.sum(axis=1)
-    return out
 
 
 def _snap_int(x: float, width: float = math.inf) -> int | None:
@@ -280,11 +258,14 @@ class Segment(_Record):
     def series(self, k0, k1):
         """The function t -> sum of self(t + k) over the integers k0 <= k < k1.
 
-        For t a float and k1 > k0, in closed form with math (m equal terms, an
-        arithmetic or a geometric series); all but t is computed here, once.
+        For t a float: a built-in kind, for k1 > k0, in closed form with math
+        (m equal terms, an arithmetic or a geometric series), all but t
+        computed here, once; a custom segment in blocks of _SERIES_BLOCK
+        translates, one numpy call each, as a float (0.0 for no translates).
         """
         if self.kind == "custom":
-            raise DensityError("a custom segment has no closed-form series")
+            blocks = [(k, min(k + _SERIES_BLOCK, k1)) for k in range(k0, k1, _SERIES_BLOCK)]
+            return lambda t: sum((float(self(t + np.arange(a, b, dtype=float)).sum()) for a, b in blocks), 0.0)
         m = k1 - k0
         if self.kind == "const":
             total = m * self.params[0]

@@ -3,8 +3,8 @@
 Everything here is self-contained on purpose: the quadrature is a
 hand-rolled adaptive Simpson scheme and roots come from ITP bracketing, so
 the oracle shares no code path with the closed forms and library-backed
-integrals it is used to check.  Both run on Python floats; a closed-form
-fold is evaluated point by point in `math`, so numpy is not imported.
+integrals it is used to check.  Both run on Python floats; every fold is
+evaluated point by point, a closed-form one in `math` without numpy.
 The fold itself, `fold_mod1`, lives here too: nothing in `bounds` folds, so
 only the oracle loads `dataclasses` for the `FoldedDensity` it returns.
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .closed import _Record, _require_positive_int
-from .density import PiecewiseDensity, _blocked_translate_sum, _LazyNumpy, _snap_int, scale_density
+from .density import PiecewiseDensity, _LazyNumpy, _snap_int, scale_density
 
 np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
 
@@ -86,9 +86,11 @@ class OracleResult(_Record):
 class FoldedDensity:
     """Density of X mod 1 on [0, 1), as a sum of integer translates.
 
-    route names how fn sums them: "closed-form", "translate-sum" (custom
-    segments), both joined by "+", or "callable" for a fold given as fn.
-    kinks holds the sorted points of (0, 1) where fn may be non-smooth.
+    route names where the translate sums come from: "closed-form" (built-in
+    segments), "translate-sum" (custom ones), both joined by "+", or
+    "callable" for a fold given as fn, the one route evaluation probes for
+    arrays.  kinks holds the sorted points of (0, 1) where fn may be
+    non-smooth.
     """
 
     fn: Callable
@@ -104,49 +106,33 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
 
     t owns the translates k of a segment with lo <= t + k < hi.  An end e folds
     to (k_e, t_e): the integer it snaps to and 0, else floor(e) and
-    e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  Each built-in
-    segment's (at most three) ranges are bound into `series` kernels once.
-    A point of a fold with no custom segment costs two compares and a call
-    per piece in math.  An array, or any point of a fold with a custom
-    segment, sums the kernels point by point and then adds each custom
-    segment's translates, summed in numpy blocks over the same ranges.
-    t outside [0, 1) is reduced by t - floor(t).
+    e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  Each
+    segment's (at most three) ranges are bound into `series` kernels once, so
+    a point costs two compares and a kernel call per segment, and an array is
+    mapped point by point.  t outside [0, 1) is reduced by t - floor(t).
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
-    pieces = []  # built-in: per segment, its two images sorted and a kernel (or None) per range
-    custom = []  # custom: per segment, itself and its two folded ends
+    pieces = []  # per segment: its two images sorted and a kernel (or None) per range
     for seg in f.segments:
         (k0, t0), (k1, t1) = (_fold_end(e, seg.hi - seg.lo) for e in (seg.lo, seg.hi))
-        if seg.kind == "custom":
-            custom.append((seg, k0, t0, k1, t1))
-            continue
         ranges = ((k0 + 1, k1 + 1), (k0 + (t0 > t1), k1 + (t1 > t0)), (k0, k1))
         pieces.append((min(t0, t1), max(t0, t1), *(seg.series(a, b) if b > a else None for a, b in ranges)))
 
-    def summed(custom):
-        # the fold of the built-in pieces plus the given custom segments
-        def fn(t):
-            if type(t) in (float, int) and not custom:
-                if not 0.0 <= t < 1.0:
-                    t -= math.floor(t)
-                out = 0.0
-                for below, above, first, middle, last in pieces:
-                    kernel = first if t < below else middle if t < above else last
-                    if kernel is not None:
-                        out += kernel(t)
-                return out
+    def fn(t):
+        if type(t) not in (float, int):
             ts = np.asarray(t, dtype=float)
-            tt = ts.reshape(-1)
-            out = np.array([kernels(x) for x in tt.tolist()], dtype=float)
-            tt = tt - np.floor(tt)
-            for seg, k0, t0, k1, t1 in custom:
-                out += _blocked_translate_sum(seg, tt, k0 + (tt < t0), k1 + (tt < t1))
+            out = np.array([fn(x) for x in ts.reshape(-1).tolist()], dtype=float)
             return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+        if not 0.0 <= t < 1.0:
+            t -= math.floor(t)
+        out = 0.0
+        for below, above, first, middle, last in pieces:
+            kernel = first if t < below else middle if t < above else last
+            if kernel is not None:
+                out += kernel(t)
+        return out
 
-        return fn
-
-    kernels = summed(())
-    return FoldedDensity(fn=summed(custom), route="+".join(sorted(routes)), kinks=tuple(_fold_kinks(f)))
+    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=tuple(_fold_kinks(f)))
 
 
 class _Integral(tuple):
@@ -161,12 +147,12 @@ class _Integral(tuple):
 def _evaluator(fn):
     """Evaluate fn on a list of floats, as a list of floats.
 
-    A closed-form fold goes point by point, any other fold in one vectorized
-    call.  Other callables are probed on the first point: a Python number
-    back means point by point, anything else a vectorized call, and point by
-    point after all if that call fails.
+    A fold of `fold_mod1` goes point by point.  A raw callable (route
+    "callable") is probed on the first point: a Python number back means
+    point by point, anything else a vectorized call, and point by point
+    after all if that call fails.
     """
-    vec = {"callable": None, "closed-form": False}.get(getattr(fn, "route", "callable"), True)
+    vec = None if getattr(fn, "route", "callable") == "callable" else False
     call = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
 
     def evalf(xs):
@@ -203,8 +189,8 @@ def adaptive_simpson(
     [a, b] is split at the breakpoints inside it, and every piece starts
     with the tolerance abs_tol / pieces.  All intervals pending at a given
     depth, in every piece, are refined with one evaluation of their points:
-    one numpy call for a vectorized fn, point by point for a closed-form
-    fold or a scalar fn.  Accepted intervals use Richardson extrapolation
+    one numpy call for a vectorized raw callable, point by point for a fold
+    or a scalar fn.  Accepted intervals use Richardson extrapolation
     of the two Simpson estimates.  Endpoint samples are taken a hair inside
     each interval so breakpoints can sit exactly on jump discontinuities.
 

@@ -640,9 +640,12 @@ def test_piecewise_file_errors(tmp_path, capsys):
     assert code == 2
     assert "mass" in err
     # records of the wrong type: a bare number, a null bound, params as a
-    # list, a kind as a list
+    # list, a kind as a list, a bool or string bound, a flag that is no string
     good = {"lo": 0, "hi": 1, "kind": "const", "params": {"value": 1.0}}
-    for records in ([1, 2], [{**good, "lo": None}], [{**good, "params": [1]}], [{**good, "kind": ["const"]}]):
+    for records in (
+        [1, 2], [{**good, "lo": None}], [{**good, "params": [1]}], [{**good, "kind": ["const"]}],
+        [{**good, "hi": True}], [{**good, "lo": "0"}], [{**good, "monotonicity": 0}], [{**good, "convexity": ""}],
+    ):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(records))
         code, _, err = run_cli(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
-from benfold.density import DensityError, _blocked_translate_sum
+from benfold.density import _SERIES_BLOCK, DensityError
 
 from _support import _random_segment, custom_twin, custom_twin_density, random_density, reference_fold
 
@@ -400,27 +400,36 @@ def test_fold_is_periodic():
 
 
 def test_custom_fold_scalar_and_vector_agree_exactly():
-    # more points and translates than one block holds: block sums still add
-    # up in the same order for a point whatever the call shape
+    # thousands of translates per point: an array maps each point through the
+    # same kernels as a scalar, so their sums add up in the same order
     f = bf.scale_density(custom_twin_density(bf.triangular_density(0.0, 0.7, 1.3)), 3001)
     folded = bf.fold_mod1(f)
     ts = np.random.default_rng(5).random(150)
     assert [folded(t) for t in ts] == list(folded(ts))
 
 
-def test_series_is_for_built_in_kinds_only():
-    seg = bf.exp_segment(-3.0, 5.0, 0.4, -0.8)
-    twin = custom_twin(seg)
-    blocked = _blocked_translate_sum(twin, np.array([0.25]), np.array([-3.0]), np.array([5.0]))
-    assert seg.series(-3, 5)(0.25) == pytest.approx(float(blocked[0]), rel=1e-13, abs=0)
-    with pytest.raises(DensityError, match="no closed-form series"):
-        twin.series(-3, 5)
+def test_custom_twin_series_matches_the_closed_form_series():
+    # a custom segment sums its translates in blocks, one numpy call each:
+    # one translate, exactly one block and two blocks plus 5 all add up to
+    # the closed form, and no translates to the float 0.0
+    for k0, k1 in ((-3, -2), (-3, _SERIES_BLOCK - 3), (-3, 2 * _SERIES_BLOCK + 2)):
+        lo, hi = float(k0), k1 + 1.0
+        for seg in (
+            bf.const_segment(lo, hi, 0.7),
+            bf.linear_segment(lo, hi, 0.3, 1.2),
+            bf.exp_segment(lo, hi, 0.4, 1e-3),
+        ):
+            twin = custom_twin(seg)
+            for t in (0.0, 0.25, 0.9):
+                assert twin.series(k0, k1)(t) == pytest.approx(seg.series(k0, k1)(t), rel=1e-12, abs=0)
+            empty = twin.series(k1, k1)(0.25)
+            assert type(empty) is float and empty == 0.0
 
 
 def test_translate_sum_per_kind_matches_explicit_sum():
     t = np.array([0.0, 0.25, 0.9, 0.5])
     k0 = np.array([-3.0, 0.0, 2.0, 4.0])
-    k1 = np.array([4.0, 1.0, 2.0, 2.0])  # empty and reversed ranges sum to 0
+    k1 = np.array([4.0, 1.0, 2.0, 2.0])  # the last two ranges are empty and reversed
     for seg in (
         bf.const_segment(-3.0, 5.0, 0.7),
         bf.linear_segment(-3.0, 5.0, 0.3, 1.2),
@@ -431,8 +440,8 @@ def test_translate_sum_per_kind_matches_explicit_sum():
         # the fold calls series on nonempty ranges only
         series = [seg.series(a, b)(ti) if b > a else 0.0 for ti, a, b in ranges]
         np.testing.assert_allclose(series, want, rtol=1e-13, atol=0)
-        blocked = _blocked_translate_sum(custom_twin(seg), t, k0, k1)
-        np.testing.assert_allclose(blocked, want, rtol=1e-13, atol=0)
+        twin = [custom_twin(seg).series(a, b)(ti) if b > a else 0.0 for ti, a, b in ranges]
+        np.testing.assert_allclose(twin, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -493,10 +502,11 @@ def test_mixed_fold_matches_the_closed_form_fold(n):
 
 
 def test_custom_fold_memory_does_not_grow_with_n():
-    # 256 points x 1e5 translates would be 200 MB as one array; the custom
-    # translate sum streams fixed blocks instead.  The peak RSS is read in a
-    # small launcher process: Linux carries a process's peak RSS over fork
-    # and exec, so a direct child of the test runner reports the runner's.
+    # 256 points x 1e5 translates would be 200 MB as one array; a custom
+    # series sums fixed-size blocks of translates instead.  The peak RSS is
+    # read in a small launcher process: Linux carries a process's peak RSS
+    # over fork and exec, so a direct child of the test runner reports the
+    # runner's.
     code = (
         "import numpy as np\n"
         "import benfold as bf\n"
