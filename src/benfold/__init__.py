@@ -22,9 +22,9 @@ __version__ = "0.1.0"
 # public name -> submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        "BoundReport DensityError ExactUniformParams VacuousBoundError bound_fourier_closed "
-        "bound_uniform_log_tv exact_delta_uniform folded_cdf_uniform "
-        "fourier_coeff_uniform_log".split(),
+        "BisectionError BoundReport DensityError ExactUniformParams QuadratureError "
+        "VacuousBoundError bound_fourier_closed bound_uniform_log_tv exact_delta_uniform "
+        "folded_cdf_uniform fourier_coeff_uniform_log".split(),
         "closed",
     ),
     **dict.fromkeys(
@@ -39,10 +39,9 @@ _EXPORTS = {
         "bounds",
     ),
     **dict.fromkeys(
-        "BisectionError FoldedDensity OracleResult QuadratureConfig QuadratureError "
-        "adaptive_simpson averaging_residual check_averaging_inequality "
-        "delta_crossing_unimodal delta_monte_carlo delta_numeric fold_mod1 integrate "
-        "inverse_cdf_sampler uniform_log_sampler uniform_sampler".split(),
+        "FoldedDensity OracleResult QuadratureConfig adaptive_simpson averaging_residual "
+        "check_averaging_inequality delta_crossing_unimodal delta_monte_carlo delta_numeric "
+        "fold_mod1 integrate inverse_cdf_sampler uniform_log_sampler uniform_sampler".split(),
         "oracle",
     ),
 }

@@ -31,13 +31,7 @@ from .closed import (
     folded_cdf_uniform,
     fourier_coeff_uniform_log,
 )
-from .density import (
-    PiecewiseDensity,
-    _snap_int,
-    tv_full_line,
-    tv_integer_delineated,
-    variation_is_certified,
-)
+from .density import PiecewiseDensity, _snap_int, tv_full_line, tv_integer_delineated
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +92,7 @@ def _segment_abs_deviation(seg, lo: float, hi: float, level: float) -> float:
 
 
 def _variation_hypothesis(f: PiecewiseDensity) -> str:
-    if variation_is_certified(f):
+    if all(seg.monotonicity != "unknown" for seg in f.segments):
         return "variation: exact (monotone segment flags)"
     return "variation: grid estimate, a lower bound; bound not certified"
 

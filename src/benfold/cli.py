@@ -15,9 +15,11 @@ import sys
 from . import _EXPORTS, __version__
 from .closed import (
     METHODS,
+    BisectionError,
     BoundReport,
     DensityError,
     ExactUniformParams,
+    QuadratureError,
     VacuousBoundError,
     _Record,
     bound_fourier_closed,
@@ -142,9 +144,10 @@ def render_json(rows: list[TableRow], b: float) -> str:
 def parse_density(text: str) -> tuple[PiecewiseDensity, dict]:
     """Parse a density description.
 
-    Grammar: `uniform LO HI`, `uniform-log b=B`, `exp-on-unit b=B`,
-    `triangular LO PEAK HI`, `piecewise FILE`.  Returns the density and an
-    info dict with the kind and any named parameters.
+    Grammar: `uniform LO HI`, `uniform-log b=B`, `exp-on-unit b=B` (one
+    `b=` token, nothing else), `triangular LO PEAK HI`, `piecewise FILE`.
+    Returns the density and an info dict with the kind and any named
+    parameters.
     """
     _load("density")
     parts = text.split()
@@ -157,10 +160,9 @@ def parse_density(text: str) -> tuple[PiecewiseDensity, dict]:
         lo, hi = _num(parts[1]), _num(parts[2])
         return uniform_density(lo, hi), {"kind": kind, "lo": lo, "hi": hi}
     if kind in ("uniform-log", "exp-on-unit"):
-        kv = _key_values(parts[1:])
-        if "b" not in kv:
-            raise DensityError(f"{kind} needs b=BASE, got {text!r}")
-        b = _num(kv["b"])
+        if len(parts) != 2 or not parts[1].startswith("b="):
+            raise DensityError(f"{kind} needs exactly one b=BASE, got {text!r}")
+        b = _num(parts[1][2:])
         return uniform_log_density(b), {"kind": kind, "b": b}
     if kind == "triangular":
         if len(parts) != 4:
@@ -182,22 +184,13 @@ def _num(token: str) -> float:
         raise DensityError(f"expected a number, got {token!r}") from exc
 
 
-def _key_values(parts) -> dict:
-    kv = {}
-    for part in parts:
-        key, _, val = part.partition("=")
-        if not val:
-            raise DensityError(f"expected key=value, got {part!r}")
-        kv[key] = val
-    return kv
-
-
 def load_piecewise_file(path: str) -> PiecewiseDensity:
     """Load a density from a JSON array of segment records.
 
     Each record: {lo, hi, kind: "const"|"linear"|"exp", params,
     monotonicity?, convexity?}.  lo, hi and params are JSON numbers, the
-    flags strings; flags default to what the kind implies.
+    flags strings; flags default to what the kind implies.  A record field
+    or a param name outside these is refused.
     """
     import json
 
@@ -222,6 +215,10 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
             numbers = (entry["lo"], entry["hi"], *(params[k] for k in names))
             if not all(type(x) in (int, float) for x in numbers):  # a bool is no JSON number
                 raise TypeError("bounds and params must be numbers")
+            unknown = sorted({*entry} - {"lo", "hi", "kind", "params", "monotonicity", "convexity"})
+            unknown += sorted({*params} - {*names})
+            if unknown:
+                raise DensityError(f"unknown segment record fields {unknown} in {entry!r}")
             seg = builder(*map(float, numbers))
             flags = [entry.get(k, getattr(seg, k)) for k in ("monotonicity", "convexity")]
             if not all(type(flag) is str for flag in flags):
@@ -242,12 +239,10 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
 def run_bound(density_text: str, method: str, n: float, k_max: int = 1000) -> BoundReport:
     density, info = parse_density(density_text)
     _load("bounds")
-    if method == "step_density":
-        return bound_step_density(density)
-    if method == "tv_quarter":
-        return bound_tv_quarter(density)
-    if method == "convex_eighth":
-        return bound_convex_eighth(density)
+    if method in ("step_density", "tv_quarter", "convex_eighth"):
+        # these bound X mod 1, so n*X mod 1 is bounded from the density of n*X
+        report = globals()[f"bound_{method}"](scale_density(density, n))
+        return BoundReport(method, report.value, report.hypotheses_verified, n=float(n))
     if method == "tv_scaled":
         return bound_tv_scaled(density, n)
     b = info.get("b")
@@ -392,19 +387,11 @@ def _dispatch(args) -> int:
     raise DensityError(f"unknown command {args.command!r}")
 
 
-def _numerical_failures() -> tuple[type[Exception], ...]:
-    # the oracle's failures can only be raised once the oracle is loaded
-    oracle = sys.modules.get(f"{__package__}.oracle")
-    if oracle is None:
-        return (VacuousBoundError,)
-    return (VacuousBoundError, oracle.QuadratureError, oracle.BisectionError)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except _numerical_failures() as exc:
+    except (VacuousBoundError, QuadratureError, BisectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -3,10 +3,12 @@
 For X = log_b(U[1, b]) the distance of the a-th power's fold from uniform,
 the folded CDF, the Fourier coefficients and the two closed-form bounds
 ln(b)/(8n) and ln(b)/(2*sqrt(12)*n) are elementary expressions in `math`.
-This module holds them together with the report type, the errors they
-raise and `_Record`, the record base that spares the result and density
-types `dataclasses`, so `benfold table` and `benfold exact` run without
-importing numpy.  `bounds` and `density` re-export these names.
+This module holds them together with the report type, every error the
+library raises (the oracle's `QuadratureError` and `BisectionError` too, so
+the CLI catches them without loading the oracle) and `_Record`, the record
+base that spares the result and density types `dataclasses`, so `benfold
+table` and `benfold exact` run without importing numpy.  `bounds`,
+`density` and `oracle` re-export these names.
 """
 
 from __future__ import annotations
@@ -34,6 +36,22 @@ class DensityError(ValueError):
 
 class VacuousBoundError(RuntimeError):
     """The requested bound or value carries no information in floating point."""
+
+
+class BisectionError(ValueError):
+    """Bisection was handed an interval without a sign change."""
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to meet its tolerance.
+
+    Carries the partial value and the accumulated error estimate.
+    """
+
+    def __init__(self, message, partial_value=float("nan"), error_estimate=float("inf")):
+        super().__init__(message)
+        self.partial_value = partial_value
+        self.error_estimate = error_estimate
 
 
 class _Record:

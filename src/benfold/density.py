@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .closed import DensityError, _as_real, _Record
+from .closed import DensityError, _as_real, _Record, _require_base
 
 
 class _LazyNumpy:
@@ -370,7 +370,10 @@ def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
     scale = _as_real(n)
     if not (math.isfinite(scale) and scale > 0):
         raise DensityError(f"scale factor must be positive, got {n!r}")
-    return PiecewiseDensity(tuple(seg.stretched(scale) for seg in f.segments))
+    try:
+        return PiecewiseDensity(tuple(seg.stretched(scale) for seg in f.segments))
+    except OverflowError as exc:  # n**k past the doubles for a tiny n
+        raise DensityError(f"scaling by {n!r} overflows the segment parameters") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -401,50 +404,34 @@ def _grid_variation_refined(fn, lo, hi, tol=1e-10, start=129, cap=32769):
     return est
 
 
-def _piece_list(f: PiecewiseDensity):
-    """Segments plus the zero gaps between them, in order."""
-    pieces = []
-    prev_hi = None
-    for seg in f.segments:
-        if prev_hi is not None and seg.lo > prev_hi + 1e-12:
-            pieces.append((None, prev_hi, seg.lo))
-        pieces.append((seg, seg.lo, seg.hi))
-        prev_hi = seg.hi
-    return pieces
-
-
 def _variation_core(f: PiecewiseDensity):
     """Variation over the support span, plus the one-sided boundary values.
 
-    Returns (interior_total, v_left, v_right).  interior_total
-    counts monotone-piece rises and interior jumps, including jumps onto and
-    off zero gaps; it excludes the jumps at the two support endpoints, which
-    the callers add or not depending on the variation notion.
+    Returns (interior_total, v_left, v_right).  interior_total counts the
+    rises of the segments, then the jumps between consecutive ones in order;
+    a zero gap between two segments (lo past the previous hi by 1e-12) is a
+    jump down to 0 and one back up.  It excludes the jumps at the two support
+    endpoints, which the callers add or not depending on the variation notion.
     """
-    pieces = _piece_list(f)
-    endpoint_vals = []
-    total = 0.0
-    for seg, lo, hi in pieces:
-        if seg is None:
-            endpoint_vals.append((0.0, 0.0))
-            continue
-        v_lo = float(seg(lo))
-        v_hi = float(seg(hi))
+    total, jumps, prev = 0.0, [], None
+    for seg in f.segments:
+        v_lo, v_hi = float(seg(seg.lo)), float(seg(seg.hi))
         if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
             return math.inf, math.inf, math.inf
-        endpoint_vals.append((v_lo, v_hi))
-        if seg.monotonicity in ("increasing", "decreasing", "constant"):
+        if seg.monotonicity != "unknown":
             total += abs(v_hi - v_lo)
         else:
-            total += _grid_variation_refined(seg, lo, hi)
-    for i in range(len(pieces) - 1):
-        total += abs(endpoint_vals[i + 1][0] - endpoint_vals[i][1])
-    return total, endpoint_vals[0][0], endpoint_vals[-1][1]
-
-
-def variation_is_certified(f: PiecewiseDensity) -> bool:
-    """True when every segment's monotonicity flag lets variation be exact."""
-    return all(seg.monotonicity != "unknown" for seg in f.segments)
+            total += _grid_variation_refined(seg, seg.lo, seg.hi)
+        if prev is None:
+            v_left = v_lo
+        elif seg.lo > prev.hi + 1e-12:
+            jumps += [abs(v_prev), abs(v_lo)]
+        else:
+            jumps.append(abs(v_lo - v_prev))
+        prev, v_prev = seg, v_hi
+    for jump in jumps:
+        total += jump
+    return total, v_left, v_prev
 
 
 def tv_integer_delineated(f: PiecewiseDensity) -> float:
@@ -513,8 +500,7 @@ def uniform_log_density(b: float) -> PiecewiseDensity:
     Increasing and convex; this is the stock input for the closed-form
     distance and both closed-form bounds.
     """
-    if not (math.isfinite(b) and b > 1):
-        raise DensityError(f"base must satisfy b > 1, got {b!r}")
+    b = _require_base(b)
     lnb = math.log(b)
     return PiecewiseDensity((exp_segment(0.0, 1.0, lnb / (b - 1.0), lnb),))
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .closed import _Record, _require_positive_int
+from .closed import BisectionError, QuadratureError, _Record, _require_positive_int
 from .density import PiecewiseDensity, _LazyNumpy, _snap_int, scale_density
 
 np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
@@ -45,22 +45,6 @@ _BISECT_STEPS = 80
 # scan samples closer to the level than this share of the values' magnitude
 # are taken as roundoff, not as a side of a crossing
 _ROUNDOFF_FLOOR = 1e-12
-
-
-class BisectionError(ValueError):
-    """Bisection was handed an interval without a sign change."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to meet its tolerance.
-
-    Carries the partial value and the accumulated error estimate.
-    """
-
-    def __init__(self, message, partial_value=float("nan"), error_estimate=float("inf")):
-        super().__init__(message)
-        self.partial_value = partial_value
-        self.error_estimate = error_estimate
 
 
 class QuadratureConfig(_Record):
@@ -88,9 +72,8 @@ class FoldedDensity:
 
     route names where the translate sums come from: "closed-form" (built-in
     segments), "translate-sum" (custom ones), both joined by "+", or
-    "callable" for a fold given as fn, the one route evaluation probes for
-    arrays.  kinks holds the sorted points of (0, 1) where fn may be
-    non-smooth.
+    "callable" for a fold given as fn.  kinks holds the sorted points of
+    (0, 1) where fn may be non-smooth.
     """
 
     fn: Callable
@@ -109,7 +92,8 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  Each
     segment's (at most three) ranges are bound into `series` kernels once, so
     a point costs two compares and a kernel call per segment, and an array is
-    mapped point by point.  t outside [0, 1) is reduced by t - floor(t).
+    mapped point by point.  t outside [0, 1) is reduced by t - floor(t).  The
+    end images other than 0 are the fold's kinks.
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     pieces = []  # per segment: its two images sorted and a kernel (or None) per range
@@ -132,7 +116,8 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
                 out += kernel(t)
         return out
 
-    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=tuple(_fold_kinks(f)))
+    kinks = tuple(sorted({t for piece in pieces for t in piece[:2]} - {0.0}))
+    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=kinks)
 
 
 class _Integral(tuple):
@@ -147,12 +132,11 @@ class _Integral(tuple):
 def _evaluator(fn):
     """Evaluate fn on a list of floats, as a list of floats.
 
-    A fold of `fold_mod1` goes point by point.  A raw callable (route
-    "callable") is probed on the first point: a Python number back means
-    point by point, anything else a vectorized call, and point by point
-    after all if that call fails.
+    fn is probed on the first point: a Python number back, as every fold of
+    `fold_mod1` returns, means point by point; anything else a vectorized
+    call, and point by point after all if that call fails.
     """
-    vec = None if getattr(fn, "route", "callable") == "callable" else False
+    vec = None
     call = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
 
     def evalf(xs):
@@ -331,11 +315,6 @@ def _fold_end(e: float, width: float):
     return (k, 0.0) if k is not None else (math.floor(e), e - math.floor(e))
 
 
-def _fold_kinks(f: PiecewiseDensity):
-    """Images in (0, 1) of segment endpoints under folding; fn is non-smooth there."""
-    return sorted({_fold_end(e, seg.hi - seg.lo)[1] for seg in f.segments for e in (seg.lo, seg.hi)} - {0.0})
-
-
 def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     """Integral of |fn - level| from pts[0] to pts[-1], signs resolved per piece.
 
@@ -376,10 +355,10 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
         close(q, side[-1][1] if side else 0.0)
         err += floor * (q - p)
     # inside a sign-resolved piece |fn - level| differs from fn - level only
-    # in sign, so the Simpson decisions are those of integrating fn - level
-    # piece by piece; it keeps fn's route, which decides how Simpson evaluates it
-    absg = FoldedDensity(lambda x: abs(f(x) - level), getattr(fn, "route", "callable"))
-    result = adaptive_simpson(absg, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale)
+    # in sign, so the Simpson decisions are those of integrating fn - level piece by piece
+    result = adaptive_simpson(
+        lambda x: abs(f(x) - level), pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale
+    )
     signed = math.fsum(s * v for s, v in zip(signs, result.pieces))
     return result[0], err + result[1], len(bounds) - 1, signed
 

@@ -180,6 +180,31 @@ def test_tv_scaled_overflow_exits_3(capsys):
     assert "numerical failure" in err and "not finite" in err and out == ""
 
 
+@pytest.mark.parametrize("method", ("step_density", "tv_quarter", "convex_eighth"))
+@pytest.mark.parametrize("density", ("uniform-log b=10", "exp-on-unit b=3", "triangular 0 0.3 2"))
+def test_bound_of_x_mod_1_applies_n(capsys, method, density):
+    # the bound of n*X mod 1 is the library's bound on the density of n*X
+    f, _ = cli.parse_density(density)
+    code, out, err = run_cli(capsys, "bound", "--density", density, "--method", method, "--n", "5")
+    if method == "convex_eighth" and density.startswith("triangular"):
+        assert code == 2 and "certified only" in err  # two segments
+        return
+    want = getattr(bf, f"bound_{method}")(bf.scale_density(f, 5))
+    assert code == 0
+    assert out.startswith(f"{method}  value=") and "  n=5\n" in out
+    assert f"unrounded: {want.value!r}\n" in out
+    assert want.value >= bf.delta_numeric(f, 5).value - 1e-12
+    assert cli.run_bound(density, method, 5.0).n == 5.0
+
+
+def test_bound_scale_past_the_doubles_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--density", "uniform-log b=10", "--method", "step_density", "--n", "1e-320"
+    )
+    assert code == 2
+    assert "error:" in err and "overflows" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # exact
 # ---------------------------------------------------------------------------
@@ -286,7 +311,11 @@ def test_oracle_narrow_support_reads_one(capsys, hi):
 def test_oracle_mass_check_exits_3(capsys, monkeypatch):
     # the fold kink of the narrow support dropped, as integer snapping once
     # did: the signed piece values no longer sum to 0
-    monkeypatch.setattr(oracle, "_fold_kinks", lambda f: [])
+    def kinkless(f, fold=oracle.fold_mod1):
+        folded = fold(f)
+        return oracle.FoldedDensity(folded.fn, folded.route)
+
+    monkeypatch.setattr(oracle, "fold_mod1", kinkless)
     code, _, err = run_cli(capsys, "oracle", "--density", "uniform 0 1e-13", "--n", "1")
     assert code == 3
     assert "numerical failure" in err and "mass" in err
@@ -478,6 +507,17 @@ def test_bound_and_oracle_load_their_modules_on_first_use():
     assert "BOUND 0 ['benfold.density', 'benfold.bounds', 'benfold.oracle']" in out
 
 
+def test_error_classes_load_only_the_closed_forms():
+    # every error class lives in benfold.closed, so naming one loads no other module
+    out = _run_python(
+        "import sys\n"
+        "import benfold\n"
+        "benfold.QuadratureError, benfold.BisectionError\n"
+        "print('LOADED', sorted(m for m in sys.modules if m.startswith('benfold')))\n"
+    )
+    assert "LOADED ['benfold', 'benfold.closed']" in out
+
+
 def test_package_names_resolve_lazily_to_one_object():
     out = _run_python(
         "import sys\n"
@@ -497,6 +537,8 @@ def test_package_names_resolve_lazily_to_one_object():
     assert bf.DensityError is density.DensityError is closed.DensityError
     assert bf.BoundReport is bounds.BoundReport is closed.BoundReport
     assert bf.VacuousBoundError is bounds.VacuousBoundError is closed.VacuousBoundError
+    assert bf.QuadratureError is oracle.QuadratureError is closed.QuadratureError
+    assert bf.BisectionError is oracle.BisectionError is closed.BisectionError
     assert bounds.exact_delta_uniform is closed.exact_delta_uniform
     assert "delta_numeric" in vars(bf)  # cached after the first lookup
     for name in ("__wrapped__", "no_such_name", "closed_forms"):
@@ -582,7 +624,8 @@ def test_parse_density_kinds():
 
 def test_parse_density_errors():
     for bad in ("", "uniform 0", "uniform-log", "uniform-log b", "piecewise",
-                "wedge 0 1", "uniform 1 0"):
+                "wedge 0 1", "uniform 1 0", "uniform-log b=10 c=3", "uniform-log b=2 b=10",
+                "exp-on-unit x=1 b=3"):
         with pytest.raises(DensityError):
             cli.parse_density(bad)
 
@@ -640,11 +683,14 @@ def test_piecewise_file_errors(tmp_path, capsys):
     assert code == 2
     assert "mass" in err
     # records of the wrong type: a bare number, a null bound, params as a
-    # list, a kind as a list, a bool or string bound, a flag that is no string
+    # list, a kind as a list, a bool or string bound, a flag that is no string;
+    # and records with a field or a param the kind does not have
     good = {"lo": 0, "hi": 1, "kind": "const", "params": {"value": 1.0}}
     for records in (
         [1, 2], [{**good, "lo": None}], [{**good, "params": [1]}], [{**good, "kind": ["const"]}],
         [{**good, "hi": True}], [{**good, "lo": "0"}], [{**good, "monotonicity": 0}], [{**good, "convexity": ""}],
+        [{**good, "params": {"value": 1.0, "slope": 5}, "monotonicty": "decreasing"}],
+        [{**good, "params": {"value": 1.0, "slope": 5}}],
     ):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(records))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
-from benfold.density import _SERIES_BLOCK, DensityError
+from benfold.density import _SERIES_BLOCK, DensityError, _snap_int
 
 from _support import _random_segment, custom_twin, custom_twin_density, random_density, reference_fold
 
@@ -371,6 +371,22 @@ def test_fold_kernels_match_the_per_point_reference(seed, n, ts):
     assert [folded(t) for t in ts] == [reference_fold(f, t) for t in ts]
 
 
+def test_fold_kinks_are_the_images_of_every_segment_end():
+    # an end folds to 0 where it snaps to an integer, else to e - floor(e);
+    # the kinks are those images other than 0, both ends of every segment
+    rng = np.random.default_rng(15)
+    narrow = (bf.uniform_density(0.0, 1e-13), bf.uniform_density(3.0, 3.000000000001))
+    scaled = [bf.scale_density(random_density(rng), n) for _ in range(20) for n in (1, 2, 3, 8, 997)]
+    for f in scaled + list(narrow):
+        for g in (f, custom_twin_density(f)):
+            images = set()
+            for seg in g.segments:
+                for e in (seg.lo, seg.hi):
+                    images.add(0.0 if _snap_int(e, seg.hi - seg.lo) is not None else e - math.floor(e))
+            assert bf.fold_mod1(g).kinks == tuple(sorted(images - {0.0}))
+    assert [len(bf.fold_mod1(f).kinks) for f in narrow] == [1, 1]
+
+
 def test_fold_owns_every_translate_of_a_snapped_endpoint():
     # 0.28 * 25 is 7.000000000000001, which snaps to 7, so no kink sits at 0
     # and translate 7 is owned on the whole cell; finding the range at each
@@ -561,6 +577,23 @@ def test_scale_rejects_nonpositive():
     for bad in (0.0, -2.0, math.inf, math.nan):
         with pytest.raises(DensityError):
             bf.scale_density(f, bad)
+
+
+def test_scale_past_the_doubles_is_a_density_error():
+    # 1e-320 ** -1 overflows: a DensityError, not a bare OverflowError
+    for f in (bf.uniform_log_density(10), bf.triangular_density(0.0, 1.0, 2.0)):
+        with pytest.raises(DensityError, match="overflows"):
+            bf.scale_density(f, 1e-320)
+
+
+def test_uniform_log_density_checks_its_base_as_the_closed_forms_do():
+    # one owner of the check: a base of the wrong type is a DensityError too
+    for bad in ("10", None, True, 1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(DensityError, match="base must satisfy b > 1"):
+            bf.uniform_log_density(bad)
+    f = bf.uniform_log_density(10.0)
+    assert bf.uniform_log_density(10) == f == bf.uniform_log_density(np.float64(10.0))
+    assert f.segments[0].params == (math.log(10.0) / 9.0, math.log(10.0), 0.0)
 
 
 def test_tv_scaling_laws_random_suite():

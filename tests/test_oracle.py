@@ -466,7 +466,11 @@ def test_mass_check_catches_missed_mass(monkeypatch):
     # without the kink at 1e-13 the scan never samples the tall piece and
     # |f_1 - 1| reads 1 everywhere, half the truth; the signed piece values
     # then sum to -1 instead of 0
-    monkeypatch.setattr(oracle, "_fold_kinks", lambda f: [])
+    def kinkless(f, fold=oracle.fold_mod1):
+        folded = fold(f)
+        return bf.FoldedDensity(folded.fn, folded.route)
+
+    monkeypatch.setattr(oracle, "fold_mod1", kinkless)
     with pytest.raises(bf.QuadratureError, match="mass") as exc_info:
         bf.delta_numeric(bf.uniform_density(0.0, 1e-13), 1)
     assert exc_info.value.partial_value == pytest.approx(0.5, abs=1e-9)
