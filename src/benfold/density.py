@@ -167,8 +167,8 @@ class Segment(_Record):
             lo=lo, hi=hi, base=base, monotonicity=monotonicity, convexity=convexity, kind=kind,
             params=params, _exp_scale=scale if abs(scale) >= sys.float_info.min else None,
         )
-        if self.kind == "custom":
-            xs = np.linspace(self.lo, self.hi, 17)
+        if kind == "custom":
+            xs = np.linspace(lo, hi, 17)
             try:
                 ys = self(xs)
             except (TypeError, ValueError) as exc:
@@ -178,7 +178,7 @@ class Segment(_Record):
             ys = ys.tolist()
         else:
             # the built-in kinds are monotone, so their ends bound every value
-            ys = [self(float(self.lo)), self(float(self.hi))]
+            ys = [self(float(lo)), self(float(hi))]
         if not all(map(math.isfinite, ys)):
             raise DensityError("segment evaluates to a non-finite value")
         if min(ys) < -1e-12:
@@ -278,7 +278,15 @@ class Segment(_Record):
         scale = self._exp_scale
         if scale is not None:
             growth, shift = math.expm1(r * m), k0 - at
-            return lambda t: scale * _exp(r * (t + shift)) * growth
+
+            def kernel(t):
+                # _exp(x) inline, one frame less per fold point
+                try:
+                    return scale * math.exp(r * (t + shift)) * growth
+                except OverflowError:
+                    return scale * math.inf * growth
+
+            return kernel
         # sum down from the largest term, with amp inside the exponent
         log_amp, fall = math.log(amp), -abs(r)
         top = (k1 - 1.0 if r > 0 else k0) - at
@@ -288,7 +296,7 @@ class Segment(_Record):
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""
         powers = _PARAM_MAPS[self.kind][0]
-        params = tuple(p * n**k for p, k in zip(self.params, powers))
+        params = tuple([p * n**k for p, k in zip(self.params, powers)])
         return self._with(self.lo * n, self.hi * n, params)
 
     def amplified(self, c: float) -> Segment:
@@ -303,11 +311,16 @@ class Segment(_Record):
         return Segment(lo, hi, self.base, self.monotonicity, self.convexity, self.kind, params)
 
 
+class _MassError(DensityError):
+    """A segment whose mass is not a finite number."""
+
+
 class PiecewiseDensity(_Record):
     """A probability density given as ordered, non-overlapping segments.
 
     Total mass must be 1 within 1e-10.  Segments that carry no mass are
-    dropped at construction; an identically-zero input is rejected.
+    dropped at construction; a segment whose mass is not a finite number,
+    and an identically-zero input, are rejected.
     Instances are immutable and safe to share across threads.
     """
 
@@ -323,11 +336,16 @@ class PiecewiseDensity(_Record):
                 raise DensityError(
                     f"segments overlap: [{left.lo}, {left.hi}] and [{right.lo}, {right.hi}]"
                 )
-        masses = tuple(seg.mass() for seg in segs)
-        keep = tuple(s for s, m in zip(segs, masses) if m > _ZERO_MASS)
+        masses = tuple([seg.mass() for seg in segs])
+        if not all(map(math.isfinite, masses)):
+            seg, m = next((seg, m) for seg, m in zip(segs, masses) if not math.isfinite(m))
+            raise _MassError(f"segment [{seg.lo}, {seg.hi}] with params {seg.params!r} has mass {m!r}")
+        keep, kept_masses = segs, masses
+        if not min(masses) > _ZERO_MASS:
+            keep = tuple(s for s, m in zip(segs, masses) if m > _ZERO_MASS)
+            kept_masses = tuple(m for m in masses if m > _ZERO_MASS)
         if not keep:
             raise DensityError("density is identically zero")
-        kept_masses = tuple(m for m in masses if m > _ZERO_MASS)
         total = math.fsum(kept_masses)
         if abs(total - 1.0) > _TOTAL_MASS_TOL:
             raise DensityError(f"density mass is {total!r}, not 1 within {_TOTAL_MASS_TOL}")
@@ -371,9 +389,9 @@ def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
     if not (math.isfinite(scale) and scale > 0):
         raise DensityError(f"scale factor must be positive, got {n!r}")
     try:
-        return PiecewiseDensity(tuple(seg.stretched(scale) for seg in f.segments))
-    except OverflowError as exc:  # n**k past the doubles for a tiny n
-        raise DensityError(f"scaling by {n!r} overflows the segment parameters") from exc
+        return PiecewiseDensity([seg.stretched(scale) for seg in f.segments])
+    except (OverflowError, _MassError) as exc:  # n**k past the doubles, or a slope under them
+        raise DensityError(f"scaling by {n!r} underflows or overflows the segment parameters") from exc
 
 
 # ---------------------------------------------------------------------------

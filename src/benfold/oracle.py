@@ -17,7 +17,10 @@ kink or a crossing wastes depth and ruins the error estimate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import lt, ne
 from typing import Callable
 
 from .closed import BisectionError, QuadratureError, _Record, _require_positive_int
@@ -58,6 +61,9 @@ class QuadratureConfig(_Record):
         self._set(abs_tol=abs_tol, max_depth=max_depth, breakpoints=tuple(breakpoints))
 
 
+_DEFAULT_CONFIG = QuadratureConfig()  # records are immutable, so every caller can share it
+
+
 class OracleResult(_Record):
     __slots__ = _fields = ("value", "error_estimate", "method", "detail")
 
@@ -89,35 +95,62 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
 
     t owns the translates k of a segment with lo <= t + k < hi.  An end e folds
     to (k_e, t_e): the integer it snaps to and 0, else floor(e) and
-    e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  Each
-    segment's (at most three) ranges are bound into `series` kernels once, so
-    a point costs two compares and a kernel call per segment, and an array is
-    mapped point by point.  t outside [0, 1) is reduced by t - floor(t).  The
-    end images other than 0 are the fold's kinks.
+    e - floor(e); so k_lo + (t < t_lo) <= k < k_hi + (t < t_hi).  The end
+    images other than 0 are the fold's kinks.  Between two consecutive kinks
+    every segment owns one fixed range, the one its images pick at the
+    interval's left end.  Each range some interval uses is bound once into a
+    `Segment.series` kernel, and each interval's kernels into one callable
+    that adds them in segment order from 0.0, so a point costs one interval
+    lookup and one call, and an array is mapped point by point.  t outside
+    [0, 1) is reduced by t - floor(t).
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     pieces = []  # per segment: its two images sorted and a kernel (or None) per range
     for seg in f.segments:
-        (k0, t0), (k1, t1) = (_fold_end(e, seg.hi - seg.lo) for e in (seg.lo, seg.hi))
-        ranges = ((k0 + 1, k1 + 1), (k0 + (t0 > t1), k1 + (t1 > t0)), (k0, k1))
-        pieces.append((min(t0, t1), max(t0, t1), *(seg.series(a, b) if b > a else None for a, b in ranges)))
+        width = seg.hi - seg.lo
+        (k0, t0), (k1, t1) = _fold_end(seg.lo, width), _fold_end(seg.hi, width)
+        below, above = min(t0, t1), max(t0, t1)
+        # (k0, k1, whether an interval uses it) of the ranges below the lower
+        # image, between the two and above the upper one
+        ranges = ((k0 + 1, k1 + 1, below > 0.0), (k0 + (t0 > t1), k1 + (t1 > t0), below < above), (k0, k1, True))
+        pieces.append((below, above, *[seg.series(a, b) if used and b > a else None for a, b, used in ranges]))
+    kinks = tuple(sorted({t for piece in pieces for t in piece[:2]} - {0.0}))
+    kernels = []  # per interval [e, next kink): its kernels summed
+    for e in (0.0, *kinks):
+        owned = [first if e < below else middle if e < above else last for below, above, first, middle, last in pieces]
+        kernels.append(_summed([kernel for kernel in owned if kernel is not None]))
+    fn = _fold_fn(kinks, kernels, _fold_fn(kinks, kernels))
+    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=kinks)
 
+
+def _summed(kernels):
+    # one kernel as it is; else t -> 0.0 + kernels[0](t) + kernels[1](t) + ...
+    if len(kernels) == 1:
+        return kernels[0]
+
+    def total(t):
+        out = 0.0
+        for kernel in kernels:
+            out += kernel(t)
+        return out
+
+    return total
+
+
+def _fold_fn(kinks, kernels, scalar=None):
+    # the fold at t, through the kernel of t's interval; an array is mapped
+    # through scalar, a copy of fn made without one, so fn holds no
+    # reference to itself and a fold is freed without the cyclic collector
     def fn(t):
         if type(t) not in (float, int):
             ts = np.asarray(t, dtype=float)
-            out = np.array([fn(x) for x in ts.reshape(-1).tolist()], dtype=float)
+            out = np.array(list(map(scalar, ts.reshape(-1).tolist())), dtype=float)
             return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
         if not 0.0 <= t < 1.0:
             t -= math.floor(t)
-        out = 0.0
-        for below, above, first, middle, last in pieces:
-            kernel = first if t < below else middle if t < above else last
-            if kernel is not None:
-                out += kernel(t)
-        return out
+        return kernels[bisect_right(kinks, t)](t) if kinks else kernels[0](t)
 
-    kinks = tuple(sorted({t for piece in pieces for t in piece[:2]} - {0.0}))
-    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=kinks)
+    return fn
 
 
 class _Integral(tuple):
@@ -132,20 +165,29 @@ class _Integral(tuple):
 def _evaluator(fn):
     """Evaluate fn on a list of floats, as a list of floats.
 
-    fn is probed on the first point: a Python number back, as every fold of
-    `fold_mod1` returns, means point by point; anything else a vectorized
-    call, and point by point after all if that call fails.
+    An integrand with a private list form `_on_list` (`_abs_deviation` gives
+    |f - level| one when f is scalar) is evaluated by it.  Any other fn is
+    probed on the first point: a Python number back, as every fold of
+    `fold_mod1` returns, means point by point, through `map` with no wrapper
+    per point; anything else a vectorized call, and point by point after all
+    if that call fails.  The evaluator's `scalar` turns True once the probe
+    finds a Python number.
     """
-    vec = None
     call = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
+    on_list = getattr(call, "_on_list", None)
+    if on_list is not None:
+        return on_list
+    vec = None
 
     def evalf(xs):
         nonlocal vec
+        if vec is False:
+            return list(map(float, map(call, xs)))
         head = []
         if vec is None:
             y = call(xs[0])
             vec = type(y) not in (float, int)
-            head, xs = [float(y)], xs[1:]
+            evalf.scalar, head, xs = not vec, [float(y)], xs[1:]
         if vec and xs:
             try:
                 ys = np.asarray(call(np.array(xs)), dtype=float)
@@ -154,8 +196,9 @@ def _evaluator(fn):
             except (TypeError, ValueError):
                 pass
             vec = False
-        return head + [float(call(x)) for x in xs]
+        return head + list(map(float, map(call, xs)))
 
+    evalf.scalar = False
     return evalf
 
 
@@ -197,11 +240,10 @@ def adaptive_simpson(
     n_pieces = len(edges) - 1
     share = abs_tol / n_pieces
     lo, hi = edges[:-1], edges[1:]
-    eta = [_EDGE_INSET * (q - p) for p, q in zip(lo, hi)]
     f3 = evalf(
-        [p + e for p, e in zip(lo, eta)]
+        [p + _EDGE_INSET * (q - p) for p, q in zip(lo, hi)]
         + [0.5 * (p + q) for p, q in zip(lo, hi)]
-        + [q - e for q, e in zip(hi, eta)]
+        + [q - _EDGE_INSET * (q - p) for p, q in zip(lo, hi)]
     )
     # active intervals: (lo, hi, f(lo), f(mid), f(hi), Simpson estimate, piece);
     # all of them have the same depth and so the same tolerance
@@ -219,23 +261,25 @@ def adaptive_simpson(
         )
         kept, open_val, open_err, open_width, floored = [], 0.0, 0.0, 0.0, False
         reach = tol / _ROUNDING_FLOOR  # |S_left| + |S_right| + |S| above this rounds past tol
+        refine = depth < max_depth
         for (p, q, fp, fm, fq, s, i), fl, fr in zip(active, fnew, fnew[len(active) :]):
             m = 0.5 * (p + q)
             s_left = (m - p) / 6.0 * (fp + 4.0 * fl + fm)
             s_right = (q - m) / 6.0 * (fm + 4.0 * fr + fq)
             err = (s_left + s_right - s) / 15.0
-            if not abs(err) <= tol:
-                if depth < max_depth:
+            size = abs(err)
+            if not size <= tol:
+                if refine:
                     kept += [(p, m, fp, fl, fm, s_left, i), (m, q, fm, fr, fq, s_right, i)]
                     open_val += s_left + s_right + err
-                    open_err += abs(err)
+                    open_err += size
                     open_width += q - p
-                    floored |= abs(s_left) + abs(s_right) + abs(s) > reach
-                    floored |= scale * (q - p) * _SCALE_FLOOR > tol
+                    floored = floored or abs(s_left) + abs(s_right) + abs(s) > reach
+                    floored = floored or scale * (q - p) * _SCALE_FLOOR > tol
                     continue
-                unresolved[i] += abs(err)
+                unresolved[i] += size
             parts[i].append(s_left + s_right + err)
-            errs.append(abs(err))
+            errs.append(size)
         noise.append(open_err / tol)
         stalled = len(kept) >= _STALL_OPEN and open_err <= 2.0**-52 * scale * open_width
         stalled = stalled and depth >= _STALL_LEVELS and noise[-1] >= _STALL_GROWTH * noise[-1 - _STALL_LEVELS]
@@ -261,7 +305,7 @@ def adaptive_simpson(
 
 def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
     """Adaptive Simpson over [a, b] split at the config's forced breakpoints."""
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     return adaptive_simpson(fn, a, b, cfg.abs_tol, cfg.max_depth, cfg.breakpoints)
 
 
@@ -323,16 +367,23 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     bisect_root into a further breakpoint.  Samples within a roundoff floor
     of level (_ROUNDOFF_FLOOR times the values' magnitude) are skipped, so a
     function equal to level up to roundoff has no crossings; the area the
-    floor can hide, floor times width, goes into the error estimate.
+    floor can hide, floor times width, goes into the error estimate.  An
+    interval whose samples all lie on one side, past the floor, has no sign
+    change; elsewhere the sign changes are found by passes in C over the
+    kept samples, all of them when none lies within the floor.
     |fn - level| is then integrated over all sign-resolved pieces in one
-    adaptive_simpson run.  Returns (value, error_estimate, pieces, signed
-    integral of fn - level), the last from each piece's value with the sign
-    of its scan samples (0 where they all sit within the floor).  The
-    largest |level| + |fn| on the scans is Simpson's `scale`.
+    adaptive_simpson run, through a list form that maps fn point by point
+    when the scan's probe found fn scalar.  Returns (value, error_estimate,
+    pieces, signed integral of fn - level), the last from each piece's value
+    with the sign of its scan samples (0 where they all sit within the
+    floor).  The largest |level| + |fn| on the scans is Simpson's `scale`.
     """
     evalf = _evaluator(fn)
     f = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
     bounds, signs, err, scale = [pts[0]], [], 0.0, 0.0
+
+    def gap(x):
+        return f(x) - level
 
     def close(x, y):
         # end the current piece at x, signed as its scan samples y; none is
@@ -345,20 +396,33 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
         inset = _EDGE_INSET * (q - p)
         xs = _linspace(p + inset, q - inset, scan_points)
         fs = evalf(xs)
-        ys = [y - level for y in fs]
-        scale = max(scale, abs(level) + max(map(abs, fs)))
-        floor = _ROUNDOFF_FLOOR * (abs(level) + max(map(abs, ys)))
-        side = [(x, y) for x, y in zip(xs, ys) if abs(y) > floor]
-        for (x0, y0), (x1, y1) in zip(side, side[1:]):
-            if (y0 < 0) != (y1 < 0):
-                close(bisect_root(lambda x: f(x) - level, x0, x1, ends=(y0, y1)), y0)
-        close(q, side[-1][1] if side else 0.0)
+        # max |f| and max |f - level| sit at the extremes of fs, since
+        # rounding y - level is monotone in y
+        f_lo, f_hi = min(fs), max(fs)
+        y_lo, y_hi = f_lo - level, f_hi - level
+        scale = max(scale, abs(level) + max(abs(f_lo), abs(f_hi)))
+        floor = _ROUNDOFF_FLOOR * (abs(level) + max(abs(y_lo), abs(y_hi)))
+        if y_lo > floor or y_hi < -floor:  # every sample on one side, past the floor
+            close(q, y_lo)
+        else:
+            ys = [y - level for y in fs]
+            kept = list(map(lt, repeat(floor), map(abs, ys)))  # abs(y) > floor
+            if not all(kept):
+                xs, ys = list(compress(xs, kept)), list(compress(ys, kept))
+            below = list(map(lt, ys, repeat(0.0)))
+            for i in compress(count(), map(ne, below, below[1:])):
+                close(bisect_root(gap, xs[i], xs[i + 1], ends=(ys[i], ys[i + 1])), ys[i])
+            close(q, ys[-1] if ys else 0.0)
         err += floor * (q - p)
+
+    def deviation(x):
+        return abs(f(x) - level)
+
+    if evalf.scalar:
+        deviation._on_list = lambda xs: [abs(y - level) for y in map(f, xs)]
     # inside a sign-resolved piece |fn - level| differs from fn - level only
     # in sign, so the Simpson decisions are those of integrating fn - level piece by piece
-    result = adaptive_simpson(
-        lambda x: abs(f(x) - level), pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale
-    )
+    result = adaptive_simpson(deviation, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale)
     signed = math.fsum(s * v for s, v in zip(signs, result.pieces))
     return result[0], err + result[1], len(bounds) - 1, signed
 
@@ -375,7 +439,7 @@ def delta_numeric(f: PiecewiseDensity, n: int, cfg: QuadratureConfig | None = No
     QuadratureError is raised.
     """
     n = _require_positive_int(n)
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     folded = fold_mod1(scale_density(f, float(n)))
     pts = sorted({0.0, 1.0, *folded.kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
     value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, cfg.max_depth, 65)
@@ -399,7 +463,7 @@ def delta_crossing_unimodal(
     certifies monotonicity; a density that never crosses 1 is accepted only
     if it is flat at 1 everywhere.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
 
     def g(t):
         return folded(t) - 1.0
@@ -529,7 +593,7 @@ def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = No
     located by bisect_root and the residual is assembled from sign-resolved
     pieces, so piecewise-constant and affine inputs come out exact.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     total, err_mean = integrate(fn, a, b, cfg)
     y = total / (b - a)
     pts = sorted({a, b, *(p for p in cfg.breakpoints if a < p < b)})
@@ -555,7 +619,7 @@ def check_averaging_inequality(
     """
     if not (b > a and d >= c):
         raise ValueError("need b > a and d >= c")
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     residual, _, err = averaging_residual(fn, a, b, cfg)
     limit = (b - a) * (d - c) / (4.0 if convex_monotone else 2.0)
     slack = max(1e-10, 10.0 * err)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from benfold import PiecewiseDensity, Segment, const_segment, exp_segment, linear_segment, normalized
-from benfold.density import _snapped
+from benfold.density import _snap_int, _snapped
 
 
 def random_density(rng, max_cells=5, allow_gaps=True):
@@ -64,6 +64,30 @@ def reference_fold(f, t):
         k_end = max(_snapped(seg.hi, width, math.ceil), k_lo + 1)
         k0 = max(math.ceil(seg.lo - t), k_lo)
         k1 = min(math.floor(seg.hi - t) + 1 if i == last else math.ceil(seg.hi - t), k_end)
+        if k1 > k0:
+            out += seg.series(k0, k1)(t)
+    return out
+
+
+def fold_at(f, t):
+    """The fold of f at one point t of [0, 1), with fold_mod1's rule applied at t.
+
+    The reference for fold_mod1 at and just below its kinks, where
+    reference_fold differs: it closes the last segment's upper end, and
+    its hi - t rounds to an integer one float below a kink.  Here an end e
+    folds to the integer it snaps to and 0, else to floor(e) and
+    e - floor(e); a segment owns k_lo + (t < t_lo) <= k < k_hi + (t < t_hi),
+    compared exactly, and the ranges' Segment.series are added in segment
+    order from 0.0.
+    """
+    out = 0.0
+    for seg in f.segments:
+        ends = []
+        for e in (seg.lo, seg.hi):
+            k = _snap_int(e, seg.hi - seg.lo)
+            ends.append((k, 0.0) if k is not None else (math.floor(e), e - math.floor(e)))
+        (k_lo, t_lo), (k_hi, t_hi) = ends
+        k0, k1 = k_lo + (t < t_lo), k_hi + (t < t_hi)
         if k1 > k0:
             out += seg.series(k0, k1)(t)
     return out

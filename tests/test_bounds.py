@@ -378,6 +378,20 @@ def test_exact_delta_scale_invariance(b, a):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    b=st.floats(min_value=1.01, max_value=1e6, exclude_min=True),
+    a=st.floats(min_value=0.3, max_value=50.0),
+)
+def test_exact_delta_at_a_real_exponent_is_the_fold_of_a_log_of_a_uniform(b, a):
+    # a * log_b(U), U ~ U(0, 1), folds as log_x(U[1, x]) with x = b**(1/a):
+    # the oracle on that density at n = 1 is an independent value at any
+    # real a, where a * log_b(U[1, b]) would differ (b = 10, a = 1.5)
+    got = bf.exact_delta_uniform(b, a).value
+    r = bf.delta_numeric(bf.uniform_log_density(b ** (1.0 / a)), 1)
+    assert abs(got - r.value) <= max(10.0 * r.error_estimate, 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     b=st.floats(min_value=1.01, max_value=1e4),
     a=st.floats(min_value=1e-2, max_value=1e10),
 )

@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import benfold as bf
 from benfold.density import _SERIES_BLOCK, DensityError, _snap_int
 
-from _support import _random_segment, custom_twin, custom_twin_density, random_density, reference_fold
+from _support import _random_segment, custom_twin, custom_twin_density, fold_at, random_density, reference_fold
 
 LN10 = math.log(10.0)
 
@@ -140,6 +142,9 @@ def test_validation_messages():
     with pytest.raises(DensityError, match="segment evaluates negative"):
         # positive at both ends, negative inside: only the samples see it
         bf.Segment(0.0, 1.0, lambda x: 1.0 - 2.0 * np.sin(np.pi * x))
+    with pytest.raises(DensityError, match=r"segment \[0.0, 1e[+]300\] .* has mass nan"):
+        # 0.5 * 0.0 * hi**2 is 0 * inf: a nan mass, not a massless segment
+        bf.PiecewiseDensity((bf.linear_segment(0.0, 1e300, 0.0, 1e-300),))
 
 
 def _x_points():
@@ -371,6 +376,36 @@ def test_fold_kernels_match_the_per_point_reference(seed, n, ts):
     assert [folded(t) for t in ts] == [reference_fold(f, t) for t in ts]
 
 
+def test_fold_at_its_kinks_matches_the_per_point_rule():
+    # fold_mod1 picks each kink interval's kernels once, at its left end;
+    # the rule applied at each point itself must give the same bits at the
+    # kinks, just below them and at both ends of the cell
+    rng = np.random.default_rng(17)
+    narrow = (bf.uniform_density(0.0, 1e-13), bf.uniform_density(3.0, 3.000000000001))
+    scaled = [bf.scale_density(random_density(rng), n) for _ in range(25) for n in (1, 2, 3, 8)]
+    for f in scaled + list(narrow):
+        for g in (f, custom_twin_density(f)):
+            folded = bf.fold_mod1(g)
+            ts = [0.0, math.nextafter(1.0, 0.0), *folded.kinks]
+            ts += [math.nextafter(k, 0.0) for k in folded.kinks]
+            assert [folded(t) for t in ts] == [fold_at(g, t) for t in ts]
+
+
+def test_a_fold_is_freed_without_the_cyclic_collector():
+    # the array path maps a separate scalar function, so a fold's fn is no
+    # reference cycle and dies with its last reference
+    gc.disable()
+    try:
+        for f in (bf.uniform_log_density(10), bf.triangular_density(0.0, 0.3, 2.0)):
+            fn = bf.fold_mod1(bf.scale_density(f, 3)).fn
+            assert fn(np.array([0.25, 0.5])).shape == (2,)
+            ref = weakref.ref(fn)
+            del fn
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_fold_kinks_are_the_images_of_every_segment_end():
     # an end folds to 0 where it snaps to an integer, else to e - floor(e);
     # the kinks are those images other than 0, both ends of every segment
@@ -584,6 +619,10 @@ def test_scale_past_the_doubles_is_a_density_error():
     for f in (bf.uniform_log_density(10), bf.triangular_density(0.0, 1.0, 2.0)):
         with pytest.raises(DensityError, match="overflows"):
             bf.scale_density(f, 1e-320)
+    # 1e300 ** -2 underflows: each slope is 0, its mass 0 * inf = nan, and
+    # that nan is the cause named, not a density "identically zero"
+    with pytest.raises(DensityError, match="scaling by 1e[+]300 underflows or overflows"):
+        bf.scale_density(bf.triangular_density(0.0, 1.0, 2.0), 1e300)
 
 
 def test_uniform_log_density_checks_its_base_as_the_closed_forms_do():
