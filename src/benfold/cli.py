@@ -263,13 +263,8 @@ def run_bound(density_text: str, method: str, n: float, k_max: int = 1000) -> Bo
 
 
 def run_oracle(
-    density_text: str,
-    n: int,
-    engine: str = "quad",
-    samples: int = 10_000_000,
-    bins: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-10,
+    density_text: str, n: float, engine: str = "quad", samples: int = 10_000_000, bins: int = 1000,
+    seed: int = 0, tol: float = 1e-10,
 ) -> OracleResult:
     density, _ = parse_density(density_text)
     _load("oracle")
@@ -303,6 +298,14 @@ def _print_oracle(result: OracleResult) -> None:
     )
     print(f"unrounded: {result.value!r}")
     print(f"detail: {result.detail}")
+
+
+def _int_or_real(text: str) -> float:
+    # an integer token stays an int, so an integer n prints as an integer
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -339,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="independent numerical distance (quadrature or MC)")
     p.add_argument("--density", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_or_real, required=True)
     p.add_argument("--engine", choices=("quad", "mc"), default="quad")
     p.add_argument("--samples", type=int, default=10_000_000)
     p.add_argument("--bins", type=int, default=1000)
@@ -372,17 +375,7 @@ def _dispatch(args) -> int:
         print(f"x={params.x!r}  u={params.u!r}  t0={params.t0!r}")
         return 0
     if args.command == "oracle":
-        _print_oracle(
-            run_oracle(
-                args.density,
-                args.n,
-                engine=args.engine,
-                samples=args.samples,
-                bins=args.bins,
-                seed=args.seed,
-                tol=args.tol,
-            )
-        )
+        _print_oracle(run_oracle(args.density, args.n, args.engine, args.samples, args.bins, args.seed, args.tol))
         return 0
     raise DensityError(f"unknown command {args.command!r}")
 

@@ -256,42 +256,43 @@ class Segment(_Record):
         return roots
 
     def series(self, k0, k1):
-        """The function t -> sum of self(t + k) over the integers k0 <= k < k1.
+        """The list kernel ts -> [sum of self(t + k) over the integers k0 <= k < k1 for t in ts].
 
-        For t a float: a built-in kind, for k1 > k0, in closed form with math
-        (m equal terms, an arithmetic or a geometric series), all but t
-        computed here, once; a custom segment in blocks of _SERIES_BLOCK
-        translates, one numpy call each, as a float (0.0 for no translates).
+        A built-in kind, for k1 > k0, is one list comprehension over its closed
+        form in math (m equal terms, an arithmetic or a geometric series), all
+        but t computed here, once; a custom segment sums each point's translates
+        in blocks of _SERIES_BLOCK, one numpy call each (0.0 for no translates).
         """
         if self.kind == "custom":
             blocks = [(k, min(k + _SERIES_BLOCK, k1)) for k in range(k0, k1, _SERIES_BLOCK)]
-            return lambda t: sum((float(self(t + np.arange(a, b, dtype=float)).sum()) for a, b in blocks), 0.0)
+            return lambda ts: [
+                sum((float(self(t + np.arange(a, b, dtype=float)).sum()) for a, b in blocks), 0.0) for t in ts
+            ]
         m = k1 - k0
         if self.kind == "const":
             total = m * self.params[0]
-            return lambda t: total
+            return lambda ts: [total] * len(ts)
         if self.kind == "linear":
             slope, intercept = self.params
             mid = 0.5 * (k0 + k1 - 1.0)
-            return lambda t: m * (slope * (t + mid) + intercept)
+            return lambda ts: [m * (slope * (t + mid) + intercept) for t in ts]
         amp, r, at = self.params
-        scale = self._exp_scale
+        scale, exp = self._exp_scale, math.exp
         if scale is not None:
             growth, shift = math.expm1(r * m), k0 - at
 
-            def kernel(t):
-                # _exp(x) inline, one frame less per fold point
+            def kernel(ts):
                 try:
-                    return scale * math.exp(r * (t + shift)) * growth
-                except OverflowError:
-                    return scale * math.inf * growth
+                    return [scale * exp(r * (t + shift)) * growth for t in ts]
+                except OverflowError:  # inf where e**x overflows, as _exp gives
+                    return [scale * _exp(r * (t + shift)) * growth for t in ts]
 
             return kernel
         # sum down from the largest term, with amp inside the exponent
         log_amp, fall = math.log(amp), -abs(r)
         top = (k1 - 1.0 if r > 0 else k0) - at
         terms = math.expm1(fall * m) / math.expm1(fall)
-        return lambda t: _exp(log_amp + r * (t + top)) * terms
+        return lambda ts: [_exp(log_amp + r * (t + top)) * terms for t in ts]
 
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""

@@ -3,8 +3,8 @@
 Everything here is self-contained on purpose: the quadrature is a
 hand-rolled adaptive Simpson scheme and roots come from ITP bracketing, so
 the oracle shares no code path with the closed forms and library-backed
-integrals it is used to check.  Both run on Python floats; every fold is
-evaluated point by point, a closed-form one in `math` without numpy.
+integrals it is used to check.  Both run on Python floats; a fold is
+evaluated on lists of points, a closed-form one in `math` without numpy.
 The fold itself, `fold_mod1`, lives here too: nothing in `bounds` folds, so
 only the oracle loads `dataclasses` for the `FoldedDensity` it returns.
 
@@ -20,10 +20,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import lt, ne
+from operator import add, eq, lt, ne
 from typing import Callable
 
-from .closed import BisectionError, QuadratureError, _Record, _require_positive_int
+from .closed import BisectionError, QuadratureError, _Record
 from .density import PiecewiseDensity, _LazyNumpy, _snap_int, scale_density
 
 np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
@@ -99,10 +99,10 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     images other than 0 are the fold's kinks.  Between two consecutive kinks
     every segment owns one fixed range, the one its images pick at the
     interval's left end.  Each range some interval uses is bound once into a
-    `Segment.series` kernel, and each interval's kernels into one callable
-    that adds them in segment order from 0.0, so a point costs one interval
-    lookup and one call, and an array is mapped point by point.  t outside
-    [0, 1) is reduced by t - floor(t).
+    `Segment.series` list kernel, and each interval's into one that adds them
+    in segment order from 0.0.  fn._on_list sends each point of [0, 1) to its
+    interval by a bisect on the kinks and calls each interval's kernel once; a
+    number or an array goes through it too, reduced by t - floor(t).
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     pieces = []  # per segment: its two images sorted and a kernel (or None) per range
@@ -119,37 +119,45 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     for e in (0.0, *kinks):
         owned = [first if e < below else middle if e < above else last for below, above, first, middle, last in pieces]
         kernels.append(_summed([kernel for kernel in owned if kernel is not None]))
-    fn = _fold_fn(kinks, kernels, _fold_fn(kinks, kernels))
-    return FoldedDensity(fn=fn, route="+".join(sorted(routes)), kinks=kinks)
+    return FoldedDensity(fn=_fold_fn(kinks, kernels), route="+".join(sorted(routes)), kinks=kinks)
 
 
 def _summed(kernels):
-    # one kernel as it is; else t -> 0.0 + kernels[0](t) + kernels[1](t) + ...
+    # one kernel as it is; else ts -> 0.0 + kernels[0](ts) + kernels[1](ts) + ..., pointwise
     if len(kernels) == 1:
         return kernels[0]
 
-    def total(t):
-        out = 0.0
+    def total(ts):
+        out = [0.0] * len(ts)
         for kernel in kernels:
-            out += kernel(t)
+            out = list(map(add, out, kernel(ts)))
         return out
 
     return total
 
 
-def _fold_fn(kinks, kernels, scalar=None):
-    # the fold at t, through the kernel of t's interval; an array is mapped
-    # through scalar, a copy of fn made without one, so fn holds no
-    # reference to itself and a fold is freed without the cyclic collector
-    def fn(t):
-        if type(t) not in (float, int):
-            ts = np.asarray(t, dtype=float)
-            out = np.array(list(map(scalar, ts.reshape(-1).tolist())), dtype=float)
-            return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
-        if not 0.0 <= t < 1.0:
-            t -= math.floor(t)
-        return kernels[bisect_right(kinks, t)](t) if kinks else kernels[0](t)
+def _fold_fn(kinks, kernels):
+    # fn, the fold at a number or an array, and fn._on_list, on a list of [0, 1)
+    def on_list(ts):
+        if not kinks:
+            return kernels[0](ts)
+        where = list(map(bisect_right, repeat(kinks), ts))
+        owners = set(where)
+        if len(owners) == 1:
+            return kernels[where[0]](ts)
+        values = [None] * len(kernels)
+        for i in owners:
+            values[i] = iter(kernels[i](list(compress(ts, map(eq, where, repeat(i))))))
+        return list(map(next, map(values.__getitem__, where)))
 
+    def fn(t):
+        if type(t) in (float, int):
+            return on_list([t if 0.0 <= t < 1.0 else t - math.floor(t)])[0]
+        ts = np.asarray(t, dtype=float)
+        out = np.array(on_list([x if 0.0 <= x < 1.0 else x - math.floor(x) for x in ts.reshape(-1).tolist()]))
+        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+
+    fn._on_list = on_list
     return fn
 
 
@@ -162,20 +170,18 @@ class _Integral(tuple):
         return out
 
 
-def _evaluator(fn):
-    """Evaluate fn on a list of floats, as a list of floats.
+def _evaluator(fn, lo=0.0, hi=1.0):
+    """Evaluate fn on a list of floats of [lo, hi], as a list of floats.
 
-    An integrand with a private list form `_on_list` (`_abs_deviation` gives
-    |f - level| one when f is scalar) is evaluated by it.  Any other fn is
-    probed on the first point: a Python number back, as every fold of
-    `fold_mod1` returns, means point by point, through `map` with no wrapper
-    per point; anything else a vectorized call, and point by point after all
-    if that call fails.  The evaluator's `scalar` turns True once the probe
-    finds a Python number.
+    A list form `_on_list` (a fold's takes points of [0, 1)) is used as it
+    is where [lo, hi] lies in [0, 1].  Otherwise fn is probed on the first
+    point: a Python number back means a `map` of fn, anything else a
+    vectorized call, and a `map` after all if that call fails.  `scalar`
+    turns True once the probe finds a Python number.
     """
     call = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
     on_list = getattr(call, "_on_list", None)
-    if on_list is not None:
+    if on_list is not None and 0.0 <= lo and hi <= 1.0:
         return on_list
     vec = None
 
@@ -216,10 +222,10 @@ def adaptive_simpson(
     [a, b] is split at the breakpoints inside it, and every piece starts
     with the tolerance abs_tol / pieces.  All intervals pending at a given
     depth, in every piece, are refined with one evaluation of their points:
-    one numpy call for a vectorized raw callable, point by point for a fold
-    or a scalar fn.  Accepted intervals use Richardson extrapolation
-    of the two Simpson estimates.  Endpoint samples are taken a hair inside
-    each interval so breakpoints can sit exactly on jump discontinuities.
+    a list form's call (a fold's calls each interval's kernel once), one
+    numpy call for a vectorized fn, a `map` for a scalar one.  Accepted
+    intervals use Richardson extrapolation of the two Simpson estimates.
+    Endpoints are sampled a hair inside each interval, so a breakpoint may sit on a jump.
 
     Returns (value, error_estimate), a tuple whose `pieces` attribute holds
     the value of each piece between consecutive breakpoints.  Raises
@@ -235,7 +241,7 @@ def adaptive_simpson(
     """
     if b <= a:
         return _Integral(0.0, 0.0, ())
-    evalf = _evaluator(fn)
+    evalf = _evaluator(fn, a, b)
     edges = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
     n_pieces = len(edges) - 1
     share = abs_tol / n_pieces
@@ -372,13 +378,13 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     change; elsewhere the sign changes are found by passes in C over the
     kept samples, all of them when none lies within the floor.
     |fn - level| is then integrated over all sign-resolved pieces in one
-    adaptive_simpson run, through a list form that maps fn point by point
-    when the scan's probe found fn scalar.  Returns (value, error_estimate,
+    adaptive_simpson run, through a list form over the scan's evaluator
+    when that is fn's list form or a scalar fn's.  Returns (value, error_estimate,
     pieces, signed integral of fn - level), the last from each piece's value
     with the sign of its scan samples (0 where they all sit within the
     floor).  The largest |level| + |fn| on the scans is Simpson's `scale`.
     """
-    evalf = _evaluator(fn)
+    evalf = _evaluator(fn, pts[0], pts[-1])
     f = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
     bounds, signs, err, scale = [pts[0]], [], 0.0, 0.0
 
@@ -418,8 +424,8 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     def deviation(x):
         return abs(f(x) - level)
 
-    if evalf.scalar:
-        deviation._on_list = lambda xs: [abs(y - level) for y in map(f, xs)]
+    if getattr(evalf, "scalar", True):  # a list form, or a scalar fn
+        deviation._on_list = lambda xs: [abs(y - level) for y in evalf(xs)]
     # inside a sign-resolved piece |fn - level| differs from fn - level only
     # in sign, so the Simpson decisions are those of integrating fn - level piece by piece
     result = adaptive_simpson(deviation, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale)
@@ -427,8 +433,8 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     return result[0], err + result[1], len(bounds) - 1, signed
 
 
-def delta_numeric(f: PiecewiseDensity, n: int, cfg: QuadratureConfig | None = None) -> OracleResult:
-    """Distance of n*X mod 1 from uniform, by direct L1 quadrature.
+def delta_numeric(f: PiecewiseDensity, n: float, cfg: QuadratureConfig | None = None) -> OracleResult:
+    """Distance of n*X mod 1 from uniform, by direct L1 quadrature, for a finite real n > 0.
 
     Folds the scaled density, forces breakpoints at the fold images of
     segment endpoints, splits again at crossings of 1 found by bisect_root,
@@ -438,9 +444,8 @@ def delta_numeric(f: PiecewiseDensity, n: int, cfg: QuadratureConfig | None = No
     estimate, 1e-9), the quadrature missed part of the fold and
     QuadratureError is raised.
     """
-    n = _require_positive_int(n)
     cfg = cfg or _DEFAULT_CONFIG
-    folded = fold_mod1(scale_density(f, float(n)))
+    folded = fold_mod1(scale_density(f, n))  # which refuses an n that is no finite real > 0
     pts = sorted({0.0, 1.0, *folded.kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
     value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, cfg.max_depth, 65)
     if abs(signed) > max(10.0 * err, 1e-9):

@@ -65,7 +65,7 @@ def reference_fold(f, t):
         k0 = max(math.ceil(seg.lo - t), k_lo)
         k1 = min(math.floor(seg.hi - t) + 1 if i == last else math.ceil(seg.hi - t), k_end)
         if k1 > k0:
-            out += seg.series(k0, k1)(t)
+            out += seg.series(k0, k1)([t])[0]
     return out
 
 
@@ -89,7 +89,7 @@ def fold_at(f, t):
         (k_lo, t_lo), (k_hi, t_hi) = ends
         k0, k1 = k_lo + (t < t_lo), k_hi + (t < t_hi)
         if k1 > k0:
-            out += seg.series(k0, k1)(t)
+            out += seg.series(k0, k1)([t])[0]
     return out
 
 

@@ -256,6 +256,19 @@ def test_oracle_quad_large_n(capsys):
     assert "value=0.0002878" in out
 
 
+def test_oracle_takes_a_real_n(capsys):
+    # a real --n scales the density as it is; an integer --n prints as an integer
+    code, out, _ = run_cli(capsys, "oracle", "--density", "uniform-log b=10", "--n", "2.5")
+    want = bf.delta_numeric(bf.uniform_log_density(10), 2.5)
+    assert code == 0
+    assert f"unrounded: {want.value!r}" in out and "n=2.5," in out
+    code, out, _ = run_cli(capsys, "oracle", "--density", "uniform-log b=10", "--n", "3")
+    assert code == 0 and "n=3," in out
+    for bad in ("0", "-1.5", "nan", "inf"):
+        code, _, err = run_cli(capsys, "oracle", "--density", "uniform-log b=10", "--n", bad)
+        assert code == 2 and "scale factor must be positive" in err
+
+
 def test_oracle_mc_engine(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--density", "uniform-log b=10", "--n", "1",

@@ -392,8 +392,8 @@ def test_fold_at_its_kinks_matches_the_per_point_rule():
 
 
 def test_a_fold_is_freed_without_the_cyclic_collector():
-    # the array path maps a separate scalar function, so a fold's fn is no
-    # reference cycle and dies with its last reference
+    # the array path goes through the list form, a separate closure, so a
+    # fold's fn is no reference cycle and dies with its last reference
     gc.disable()
     try:
         for f in (bf.uniform_log_density(10), bf.triangular_density(0.0, 0.3, 2.0)):
@@ -459,6 +459,33 @@ def test_custom_fold_scalar_and_vector_agree_exactly():
     assert [folded(t) for t in ts] == list(folded(ts))
 
 
+# log-form exp series: a huge base, and a long steep piece
+_LOG_FORM = (
+    lambda: bf.uniform_log_density(1e300),
+    lambda: bf.PiecewiseDensity((bf.exp_segment(-10.0, 0.0, 100.0, 100.0),)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.floats(min_value=0.3, max_value=40.0),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=40),
+)
+def test_fold_list_form_scalar_and_array_calls_agree_bit_for_bit(seed, n, ts):
+    # the list form calls each interval's kernel once on all of its points;
+    # every point must get the bits of a one-point call and of an array
+    f = bf.scale_density(random_density(np.random.default_rng(seed)), n)
+    twin = custom_twin_density(f) if n < 8.0 else f  # a twin sums n translates per point
+    for g in (f, twin, *(make() for make in _LOG_FORM)):
+        folded = bf.fold_mod1(g)
+        fn, kinks = folded.fn, folded.kinks
+        xs = [*ts, 0.0, *kinks, *ts[::-1], *(math.nextafter(k, 0.0) for k in kinks)]
+        listed = fn._on_list(xs)
+        assert list(map(float.hex, listed)) == [float.hex(fn(t)) for t in xs]
+        assert list(map(float.hex, listed)) == list(map(float.hex, fn(np.array(xs)).tolist()))
+
+
 def test_custom_twin_series_matches_the_closed_form_series():
     # a custom segment sums its translates in blocks, one numpy call each:
     # one translate, exactly one block and two blocks plus 5 all add up to
@@ -472,8 +499,8 @@ def test_custom_twin_series_matches_the_closed_form_series():
         ):
             twin = custom_twin(seg)
             for t in (0.0, 0.25, 0.9):
-                assert twin.series(k0, k1)(t) == pytest.approx(seg.series(k0, k1)(t), rel=1e-12, abs=0)
-            empty = twin.series(k1, k1)(0.25)
+                assert twin.series(k0, k1)([t]) == pytest.approx(seg.series(k0, k1)([t]), rel=1e-12, abs=0)
+            [empty] = twin.series(k1, k1)([0.25])
             assert type(empty) is float and empty == 0.0
 
 
@@ -489,9 +516,9 @@ def test_translate_sum_per_kind_matches_explicit_sum():
         ranges = [(float(ti), int(a), int(b)) for ti, a, b in zip(t, k0, k1)]
         want = [sum(float(seg(ti + k)) for k in range(a, b)) for ti, a, b in ranges]
         # the fold calls series on nonempty ranges only
-        series = [seg.series(a, b)(ti) if b > a else 0.0 for ti, a, b in ranges]
+        series = [seg.series(a, b)([ti])[0] if b > a else 0.0 for ti, a, b in ranges]
         np.testing.assert_allclose(series, want, rtol=1e-13, atol=0)
-        twin = [custom_twin(seg).series(a, b)(ti) if b > a else 0.0 for ti, a, b in ranges]
+        twin = [custom_twin(seg).series(a, b)([ti])[0] if b > a else 0.0 for ti, a, b in ranges]
         np.testing.assert_allclose(twin, want, rtol=1e-13, atol=0)
 
 
@@ -512,7 +539,7 @@ def test_exp_translate_sum_without_underflow_or_overflow(lo, hi, amp, rate):
         plain = amp / math.expm1(rate) * np.exp(rate * (t + k0)) * np.expm1(rate * (k1 - k0))
     assert not np.allclose(plain, want, rtol=1e-6, atol=0)
     kernel = seg.series(int(lo), int(hi))
-    np.testing.assert_allclose([kernel(float(ti)) for ti in t], want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(kernel(t.tolist()), want, rtol=1e-12, atol=0)
 
 
 def test_fold_of_long_steep_exp_piece_is_finite():

@@ -413,11 +413,12 @@ def test_delta_numeric_reference_values():
 
 
 def test_delta_numeric_rejects_bad_n():
+    # any finite real n > 0 is a scale; a bool, 0, a negative or a
+    # non-finite n is not
     f = bf.uniform_density(0, 1)
-    with pytest.raises(ValueError):
-        bf.delta_numeric(f, 0)
-    with pytest.raises(ValueError):
-        bf.delta_numeric(f, 2.5)
+    for n in (0, -2.5, math.nan, math.inf, True, "3"):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            bf.delta_numeric(f, n)
 
 
 def test_delta_numeric_triangular_fold_is_uniform():
