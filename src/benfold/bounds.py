@@ -22,8 +22,8 @@ from .closed import (
     DensityError,
     ExactUniformParams,
     VacuousBoundError,
-    _as_real,
     _require_base,
+    _require_positive,
     _require_positive_int,
     bound_fourier_closed,
     bound_uniform_log_tv,
@@ -112,9 +112,7 @@ def bound_tv_scaled(f: PiecewiseDensity, n) -> BoundReport:
     the integer-delineation structure, so the full-line variation is used
     instead (it is never smaller, keeping the bound sound).
     """
-    scale = _as_real(n)
-    if not (math.isfinite(scale) and scale > 0):
-        raise DensityError(f"scale must be positive, got {n!r}")
+    scale = _require_positive(n, "scale")
     n_int = _snap_int(scale)
     if n_int is not None and n_int >= 1:
         tv = tv_integer_delineated(f)

@@ -142,10 +142,11 @@ def _require_base(b) -> float:
     return v
 
 
-def _require_exponent(a) -> float:
-    v = _as_real(a)
+def _require_positive(x, what: str) -> float:
+    # x as a float if it is a finite real > 0, else DensityError("<what> must be positive")
+    v = _as_real(x)
     if not (math.isfinite(v) and v > 0):
-        raise DensityError(f"exponent must be positive, got {a!r}")
+        raise DensityError(f"{what} must be positive, got {x!r}")
     return v
 
 
@@ -229,7 +230,7 @@ class ExactUniformParams(_Record):
 
     def __init__(self, b: float, a: float):
         b = _require_base(b)
-        a = _require_exponent(a)
+        a = _require_positive(a, "exponent")
         h = math.log(b) / a  # = ln x
         if h > 700.0:
             # x overflows; only the asymptotic distance is representable
@@ -291,7 +292,7 @@ def _exact_report(value: float, params: ExactUniformParams) -> BoundReport:
 def folded_cdf_uniform(b: float, a: float, t: float) -> float:
     """CDF of the folded log-uniform variable: (x**t - 1)/(x - 1), x = b**(1/a)."""
     b = _require_base(b)
-    a = _require_exponent(a)
+    a = _require_positive(a, "exponent")
     if not -1e-12 <= t <= 1.0 + 1e-12:
         raise DensityError(f"t must lie in [0, 1], got {t!r}")
     t = min(max(t, 0.0), 1.0)

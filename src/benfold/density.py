@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .closed import DensityError, _as_real, _Record, _require_base
+from .closed import DensityError, _Record, _require_base, _require_positive
 
 
 class _LazyNumpy:
@@ -116,14 +116,14 @@ class Segment(_Record):
     base is the callable of a custom segment (None for the other kinds) and
     must be vectorized over numpy arrays.  Value, mass and level crossings
     have closed forms for every kind but custom, which integrates and finds
-    crossings numerically with scipy, imported on first use.  Called on a
-    Python int or float, a built-in kind returns a float computed with
+    crossings numerically with scipy, imported on first use; an exp
+    segment's mass and translate series start from its larger end.  Called
+    on a Python int or float, a built-in kind returns a float computed with
     `math`; on anything else, an array.  The shape flags certify behaviour
     the variation and bound code is allowed to rely on.
     """
 
-    _fields = ("lo", "hi", "base", "monotonicity", "convexity", "kind", "params")
-    __slots__ = (*_fields, "_exp_scale")
+    __slots__ = _fields = ("lo", "hi", "base", "monotonicity", "convexity", "kind", "params")
 
     def __init__(
         self,
@@ -153,20 +153,9 @@ class Segment(_Record):
         params += (0.0,) if kind == "exp" and len(params) == 2 else ()  # at
         if len(params) != len(_PARAM_MAPS[kind][0]):
             raise DensityError(f"wrong parameter count for a {kind} segment: {params!r}")
-        # the scale amp/expm1(rate) of the geometric series an exp segment
-        # folds to, or None where the series can overflow (a long steep piece)
-        # or the scale underflows (a huge base): the series then uses log form
-        scale = 0.0
-        if kind == "exp":
-            amp, r, _ = params
-            if amp == 0.0 or r == 0.0:  # a negative amp fails the value check below
-                raise DensityError("exp segment needs a nonzero amp and rate")
-            if abs(r) * (hi - lo + 2.0) < 700.0:
-                scale = amp / math.expm1(r)
-        self._set(
-            lo=lo, hi=hi, base=base, monotonicity=monotonicity, convexity=convexity, kind=kind,
-            params=params, _exp_scale=scale if abs(scale) >= sys.float_info.min else None,
-        )
+        if kind == "exp" and (params[0] == 0.0 or params[1] == 0.0):  # a negative amp fails the value check below
+            raise DensityError("exp segment needs a nonzero amp and rate")
+        self._set(lo=lo, hi=hi, base=base, monotonicity=monotonicity, convexity=convexity, kind=kind, params=params)
         if kind == "custom":
             xs = np.linspace(lo, hi, 17)
             try:
@@ -208,7 +197,10 @@ class Segment(_Record):
         return p[1] * np.asarray(self.base(x / p[0]), dtype=float)
 
     def mass(self, a: float | None = None, b: float | None = None) -> float:
-        """Integral of the segment over [a, b] (defaults to the whole piece)."""
+        """Integral of the segment over [a, b] (defaults to the whole piece).
+
+        An exp segment's is its value at the larger end times (b - a) * expm1(x) / x, x = -|rate| * (b - a).
+        """
         a = self.lo if a is None else max(a, self.lo)
         b = self.hi if b is None else min(b, self.hi)
         if b <= a:
@@ -219,11 +211,8 @@ class Segment(_Record):
         if self.kind == "linear":
             return 0.5 * p[0] * (b * b - a * a) + p[1] * (b - a)
         if self.kind == "exp":
-            try:
-                return (p[0] / p[1]) * (math.exp(p[1] * (b - p[2])) - math.exp(p[1] * (a - p[2])))
-            except OverflowError:  # log form, from the larger end
-                top = max(p[1] * (a - p[2]), p[1] * (b - p[2]))
-                return _exp(top, p[0] / abs(p[1])) * -math.expm1(-abs(p[1]) * (b - a))
+            x = -abs(p[1]) * (b - a)  # 0 only where e**x is 1 to the last bit
+            return self(float(b if p[1] > 0 else a)) * ((b - a) * (math.expm1(x) / x if x else 1.0))
         return _quad(self, a, b)
 
     def crossings(self, level: float, a: float, b: float) -> list[float]:
@@ -262,6 +251,8 @@ class Segment(_Record):
         form in math (m equal terms, an arithmetic or a geometric series), all
         but t computed here, once; a custom segment sums each point's translates
         in blocks of _SERIES_BLOCK, one numpy call each (0.0 for no translates).
+        An exp series runs down from the value at the larger end: no owned
+        translate, lo <= t + k < hi, gives a larger term.
         """
         if self.kind == "custom":
             blocks = [(k, min(k + _SERIES_BLOCK, k1)) for k in range(k0, k1, _SERIES_BLOCK)]
@@ -276,23 +267,11 @@ class Segment(_Record):
             slope, intercept = self.params
             mid = 0.5 * (k0 + k1 - 1.0)
             return lambda ts: [m * (slope * (t + mid) + intercept) for t in ts]
-        amp, r, at = self.params
-        scale, exp = self._exp_scale, math.exp
-        if scale is not None:
-            growth, shift = math.expm1(r * m), k0 - at
-
-            def kernel(ts):
-                try:
-                    return [scale * exp(r * (t + shift)) * growth for t in ts]
-                except OverflowError:  # inf where e**x overflows, as _exp gives
-                    return [scale * _exp(r * (t + shift)) * growth for t in ts]
-
-            return kernel
-        # sum down from the largest term, with amp inside the exponent
-        log_amp, fall = math.log(amp), -abs(r)
-        top = (k1 - 1.0 if r > 0 else k0) - at
-        terms = math.expm1(fall * m) / math.expm1(fall)
-        return lambda ts: [_exp(log_amp + r * (t + top)) * terms for t in ts]
+        r = self.params[1]
+        top = self.hi if r > 0 else self.lo
+        scale = self(top) * (math.expm1(-abs(r) * m) / math.expm1(-abs(r)))
+        shift, exp = (k1 - 1 if r > 0 else k0) - top, math.exp
+        return lambda ts: [scale * exp(r * (t + shift)) for t in ts]
 
     def stretched(self, n: float) -> Segment:
         """The matching piece of the density of n*X: x -> self(x/n)/n."""
@@ -386,9 +365,7 @@ class PiecewiseDensity(_Record):
 
 def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
     """Density of n*X: x -> f(x/n)/n, support stretched by n, flags preserved."""
-    scale = _as_real(n)
-    if not (math.isfinite(scale) and scale > 0):
-        raise DensityError(f"scale factor must be positive, got {n!r}")
+    scale = _require_positive(n, "scale factor")
     try:
         return PiecewiseDensity([seg.stretched(scale) for seg in f.segments])
     except (OverflowError, _MassError) as exc:  # n**k past the doubles, or a slope under them

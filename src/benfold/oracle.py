@@ -23,7 +23,7 @@ from itertools import compress, count, repeat
 from operator import add, eq, lt, ne
 from typing import Callable
 
-from .closed import BisectionError, QuadratureError, _Record
+from .closed import BisectionError, QuadratureError, _Record, _require_positive
 from .density import PiecewiseDensity, _LazyNumpy, _snap_int, scale_density
 
 np = _LazyNumpy(globals())  # for Monte Carlo, samplers and vectorized integrands
@@ -176,8 +176,7 @@ def _evaluator(fn, lo=0.0, hi=1.0):
     A list form `_on_list` (a fold's takes points of [0, 1)) is used as it
     is where [lo, hi] lies in [0, 1].  Otherwise fn is probed on the first
     point: a Python number back means a `map` of fn, anything else a
-    vectorized call, and a `map` after all if that call fails.  `scalar`
-    turns True once the probe finds a Python number.
+    vectorized call, and a `map` after all if that call fails.
     """
     call = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
     on_list = getattr(call, "_on_list", None)
@@ -193,7 +192,7 @@ def _evaluator(fn, lo=0.0, hi=1.0):
         if vec is None:
             y = call(xs[0])
             vec = type(y) not in (float, int)
-            evalf.scalar, head, xs = not vec, [float(y)], xs[1:]
+            head, xs = [float(y)], xs[1:]
         if vec and xs:
             try:
                 ys = np.asarray(call(np.array(xs)), dtype=float)
@@ -204,7 +203,6 @@ def _evaluator(fn, lo=0.0, hi=1.0):
             vec = False
         return head + list(map(float, map(call, xs)))
 
-    evalf.scalar = False
     return evalf
 
 
@@ -378,11 +376,11 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     change; elsewhere the sign changes are found by passes in C over the
     kept samples, all of them when none lies within the floor.
     |fn - level| is then integrated over all sign-resolved pieces in one
-    adaptive_simpson run, through a list form over the scan's evaluator
-    when that is fn's list form or a scalar fn's.  Returns (value, error_estimate,
-    pieces, signed integral of fn - level), the last from each piece's value
-    with the sign of its scan samples (0 where they all sit within the
-    floor).  The largest |level| + |fn| on the scans is Simpson's `scale`.
+    adaptive_simpson run, through a list form over the scan's evaluator.
+    Returns (value, error_estimate, pieces, signed integral of fn - level),
+    the last from each piece's value with the sign of its scan samples (0
+    where they all sit within the floor).  The largest |level| + |fn| on
+    the scans is Simpson's `scale`.
     """
     evalf = _evaluator(fn, pts[0], pts[-1])
     f = fn.fn if isinstance(fn, FoldedDensity) else fn  # skip FoldedDensity.__call__
@@ -424,8 +422,7 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
     def deviation(x):
         return abs(f(x) - level)
 
-    if getattr(evalf, "scalar", True):  # a list form, or a scalar fn
-        deviation._on_list = lambda xs: [abs(y - level) for y in evalf(xs)]
+    deviation._on_list = lambda xs: [abs(y - level) for y in evalf(xs)]
     # inside a sign-resolved piece |fn - level| differs from fn - level only
     # in sign, so the Simpson decisions are those of integrating fn - level piece by piece
     result = adaptive_simpson(deviation, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale)
@@ -493,14 +490,15 @@ def delta_crossing_unimodal(
     return OracleResult(abs(t0 - cdf_t0), err, "crossing_point", detail)
 
 
-def delta_monte_carlo(sampler, n: int, samples: int, bins: int, seed: int) -> OracleResult:
-    """Histogram estimate of the distance of n*X mod 1 from uniform.
+def delta_monte_carlo(sampler, n: float, samples: int, bins: int, seed: int) -> OracleResult:
+    """Histogram estimate of the distance of n*X mod 1 from uniform, for a finite real n > 0.
 
     sampler(rng, size) must return `size` i.i.d. draws of X.  The value is
     half the L1 distance between the empirical histogram and the flat one;
     it is biased low (a histogram cannot see within-bin deviation), so it is
     a statistical sanity check, never an acceptance arbiter.
     """
+    n = _require_positive(n, "scale factor")
     if not (samples >= 1 and bins >= 1):
         raise ValueError("samples and bins must be positive")
     if samples < bins * bins:

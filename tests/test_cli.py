@@ -269,6 +269,16 @@ def test_oracle_takes_a_real_n(capsys):
         assert code == 2 and "scale factor must be positive" in err
 
 
+def test_oracle_mc_engine_rejects_bad_n(capsys):
+    # both engines take the same n: a finite real > 0
+    for bad in ("0", "-3", "nan", "inf"):
+        code, _, err = run_cli(capsys, "oracle", "--density", "uniform-log b=10", "--n", bad, "--engine", "mc")
+        assert code == 2 and "scale factor must be positive" in err
+    with pytest.raises(SystemExit) as exit_info:  # no number at all: argparse refuses it
+        run_cli(capsys, "oracle", "--density", "uniform-log b=10", "--n", "True", "--engine", "mc")
+    assert exit_info.value.code == 2
+
+
 def test_oracle_mc_engine(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--density", "uniform-log b=10", "--n", "1",

@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
@@ -97,7 +97,7 @@ def test_custom_segment_must_be_vectorized():
 
 
 def test_exp_segment_with_zero_amp_is_refused():
-    # its log-form series would take log(0); exp_segment refuses it too
+    # a zero amp or rate is no exponential piece; exp_segment refuses it too
     for rate in (1.0, 800.0):
         with pytest.raises(DensityError, match="nonzero amp"):
             bf.Segment(0.0, 0.5, None, "increasing", "convex", "exp", (0.0, rate))
@@ -459,8 +459,8 @@ def test_custom_fold_scalar_and_vector_agree_exactly():
     assert [folded(t) for t in ts] == list(folded(ts))
 
 
-# log-form exp series: a huge base, and a long steep piece
-_LOG_FORM = (
+# exp folds at the edge of the doubles: a huge base, and a long steep piece
+_EDGE_EXP = (
     lambda: bf.uniform_log_density(1e300),
     lambda: bf.PiecewiseDensity((bf.exp_segment(-10.0, 0.0, 100.0, 100.0),)),
 )
@@ -477,7 +477,7 @@ def test_fold_list_form_scalar_and_array_calls_agree_bit_for_bit(seed, n, ts):
     # every point must get the bits of a one-point call and of an array
     f = bf.scale_density(random_density(np.random.default_rng(seed)), n)
     twin = custom_twin_density(f) if n < 8.0 else f  # a twin sums n translates per point
-    for g in (f, twin, *(make() for make in _LOG_FORM)):
+    for g in (f, twin, *(make() for make in _EDGE_EXP)):
         folded = bf.fold_mod1(g)
         fn, kinks = folded.fn, folded.kinks
         xs = [*ts, 0.0, *kinks, *ts[::-1], *(math.nextafter(k, 0.0) for k in kinks)]
@@ -540,6 +540,78 @@ def test_exp_translate_sum_without_underflow_or_overflow(lo, hi, amp, rate):
     assert not np.allclose(plain, want, rtol=1e-6, atol=0)
     kernel = seg.series(int(lo), int(hi))
     np.testing.assert_allclose(kernel(t.tolist()), want, rtol=1e-12, atol=0)
+
+
+# relative error allowed on the factor an exp segment's mass and translate
+# series put on its value at their larger end: the series' exponents reach
+# about 700, whose rounding alone is 700 * eps = 1.6e-13, and the expm1
+# ratios add a few ulps
+_EXP_REL = 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(min_value=-1e4, max_value=1e4),
+    log_width=st.floats(min_value=-3.0, max_value=math.log10(50.0)),
+    rate_share=st.floats(min_value=0.0, max_value=1.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    log_peak=st.floats(min_value=-300.0, max_value=300.0),
+    log_amp=st.floats(min_value=-300.0, max_value=300.0),
+    t=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_exp_mass_and_series_match_high_precision(lo, log_width, rate_share, sign, log_peak, log_amp, t, cut):
+    # rates from 1e-300 to 700 / width of both signs, a peak from 1e-300 to
+    # 1e300 at the larger end and an amp from 1e-300 to 1e300 at an anchor
+    # as far off as that takes: huge bases, far anchors, long steep pieces.
+    # mass and series start from the segment's value at their larger end,
+    # so each is checked as that value times a factor computed in mpmath
+    width = 10.0**log_width
+    hi = lo + width
+    rate = sign * 10.0 ** (-300.0 + rate_share * (300.0 + math.log10(700.0 / width)))
+    top = hi if rate > 0 else lo
+    at = top - (log_peak - log_amp) * LN10 / rate
+    assume(math.isfinite(at))
+    try:
+        seg = bf.exp_segment(lo, hi, 10.0**log_amp, rate, at)
+    except DensityError:  # the doubles moved the peak past the doubles
+        assume(False)
+    assume(1e-300 <= seg(top) <= 1e300)
+
+    def check(got, end, factor):
+        # a subnormal start or result has lost bits to underflow already
+        start = seg(float(end))
+        want = start * factor
+        if start >= sys.float_info.min and want >= sys.float_info.min:
+            assert abs(got - want) <= _EXP_REL * want
+
+    r = mpmath.mpf(rate)
+    with mpmath.workdps(40):
+        mid = lo + cut * width
+        for a, b in ((lo, hi), (lo, mid), (mid, hi)):
+            if b > a:
+                check(seg.mass(a, b), b if rate > 0 else a, -mpmath.expm1(-abs(r) * (mpmath.mpf(b) - a)) / abs(r))
+        # the translates t + k of [lo, hi) that a fold owns, summed down from the largest
+        k0, k1 = math.ceil(lo - t), math.ceil(hi - t)
+        if k1 > k0:
+            first = mpmath.exp(r * (mpmath.mpf(t) + (k1 - 1 if rate > 0 else k0) - top))
+            check(seg.series(k0, k1)([t])[0], top, first * mpmath.expm1(-abs(r) * (k1 - k0)) / mpmath.expm1(-abs(r)))
+    folded = bf.fold_mod1(bf.normalized((seg,)))
+    assert all(map(math.isfinite, folded.fn._on_list([0.0, t, *folded.kinks])))
+
+
+@pytest.mark.parametrize("rate", (1e-300, 1e-10))
+def test_exp_segment_with_a_tiny_rate_has_its_mass(rate):
+    # the plain difference e**(rate*b) - e**(rate*a) cancels to 0 at 1e-300
+    # (identically zero) and loses 8e-8 of 1 at 1e-10 (mass not 1)
+    f = bf.PiecewiseDensity((bf.exp_segment(0.0, 1.0, 1.0, rate),))
+    assert f.segment_masses[0] == pytest.approx(math.expm1(rate) / rate, rel=1e-15)
+
+
+def test_fold_of_an_exp_segment_with_a_tiny_rate_keeps_its_mass():
+    # a mass that loses 8.27e-8 to cancellation puts the fold's off by as much
+    r = bf.delta_numeric(bf.normalized((bf.exp_segment(0.0, 1.0, 1.0, 1e-10),)), 1)
+    assert r.value == pytest.approx(bf.exact_delta_uniform(math.exp(1e-10), 1).value, abs=1e-12)
 
 
 def test_fold_of_long_steep_exp_piece_is_finite():
