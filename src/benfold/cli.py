@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
-import math
 import sys
 
 from . import _EXPORTS, __version__

@@ -79,12 +79,17 @@ class FoldedDensity:
     route names where the translate sums come from: "closed-form" (built-in
     segments), "translate-sum" (custom ones), both joined by "+", or
     "callable" for a fold given as fn.  kinks holds the sorted points of
-    (0, 1) where fn may be non-smooth.
+    (0, 1) where fn may be non-smooth.  monotone holds, per interval of
+    (0, *kinks), whether fn is monotone there, so that it crosses a level at
+    most once and has its extremes at the interval's ends; () where that is
+    not known, as for a fold given by hand.  Being fields, all three are
+    kept by `dataclasses.replace(folded, fn=...)`.
     """
 
     fn: Callable
     route: str = "callable"
     kinks: tuple = ()
+    monotone: tuple = ()
 
     def __call__(self, t):
         return self.fn(t)
@@ -102,7 +107,9 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     `Segment.series` list kernel, and each interval's into one that adds them
     in segment order from 0.0.  fn._on_list sends each point of [0, 1) to its
     interval by a bisect on the kinks and calls each interval's kernel once; a
-    number or an array goes through it too, reduced by t - floor(t).
+    number or an array goes through it too, reduced by t - floor(t).  An
+    interval is monotone when the `Segment.direction`s of the series it sums,
+    flat ones aside, agree: a sum of series that all rise (or all fall) does.
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     pieces = []  # per segment: its two images sorted and a kernel (or None) per range
@@ -115,11 +122,13 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
         ranges = ((k0 + 1, k1 + 1, below > 0.0), (k0 + (t0 > t1), k1 + (t1 > t0), below < above), (k0, k1, True))
         pieces.append((below, above, *[seg.series(a, b) if used and b > a else None for a, b, used in ranges]))
     kinks = tuple(sorted({t for piece in pieces for t in piece[:2]} - {0.0}))
-    kernels = []  # per interval [e, next kink): its kernels summed
+    kernels, monotone = [], []  # per interval [e, next kink): its kernels summed, whether it is monotone
     for e in (0.0, *kinks):
         owned = [first if e < below else middle if e < above else last for below, above, first, middle, last in pieces]
         kernels.append(_summed([kernel for kernel in owned if kernel is not None]))
-    return FoldedDensity(fn=_fold_fn(kinks, kernels), route="+".join(sorted(routes)), kinks=kinks)
+        ways = {seg.direction for seg, kernel in zip(f.segments, owned) if kernel is not None} - {0}
+        monotone.append(len(ways) <= 1 and None not in ways)
+    return FoldedDensity(_fold_fn(kinks, kernels), "+".join(sorted(routes)), kinks, tuple(monotone))
 
 
 def _summed(kernels):
@@ -363,12 +372,15 @@ def _fold_end(e: float, width: float):
     return (k, 0.0) if k is not None else (math.floor(e), e - math.floor(e))
 
 
-def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
+def _abs_deviation(fn, level, pts, abs_tol, max_depth, scans):
     """Integral of |fn - level| from pts[0] to pts[-1], signs resolved per piece.
 
-    Each interval between consecutive pts is scanned on a grid, and every
-    sign change of fn - level between consecutive samples is refined by
-    bisect_root into a further breakpoint.  Samples within a roundoff floor
+    Each interval between consecutive pts is scanned on a grid of as many
+    points as scans gives for it, and every sign change of fn - level
+    between consecutive samples is refined by bisect_root into a further
+    breakpoint.  2 points, the interval's two inset ends, suffice where fn
+    is monotone: it changes sign there at most once, and its extremes are
+    those ends.  Samples within a roundoff floor
     of level (_ROUNDOFF_FLOOR times the values' magnitude) are skipped, so a
     function equal to level up to roundoff has no crossings; the area the
     floor can hide, floor times width, goes into the error estimate.  An
@@ -396,7 +408,7 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scan_points):
             bounds.append(x)
             signs.append(math.copysign(1.0, y) if y else 0.0)
 
-    for p, q in zip(pts, pts[1:]):
+    for p, q, scan_points in zip(pts, pts[1:], scans):
         inset = _EDGE_INSET * (q - p)
         xs = _linspace(p + inset, q - inset, scan_points)
         fs = evalf(xs)
@@ -436,6 +448,9 @@ def delta_numeric(f: PiecewiseDensity, n: float, cfg: QuadratureConfig | None = 
     Folds the scaled density, forces breakpoints at the fold images of
     segment endpoints, splits again at crossings of 1 found by bisect_root,
     and integrates |f_n - 1| over the sign-resolved pieces in one Simpson run.
+    The crossings are looked for on 65 scan points per interval between
+    breakpoints, or on its two ends where the fold marks its kink interval
+    monotone.
     The same run's signed piece values give the integral of f_n - 1, which
     is 0 for a density of mass 1; where it is not, within max(10 * error
     estimate, 1e-9), the quadrature missed part of the fold and
@@ -444,13 +459,21 @@ def delta_numeric(f: PiecewiseDensity, n: float, cfg: QuadratureConfig | None = 
     cfg = cfg or _DEFAULT_CONFIG
     folded = fold_mod1(scale_density(f, n))  # which refuses an n that is no finite real > 0
     pts = sorted({0.0, 1.0, *folded.kinks, *(p for p in cfg.breakpoints if 0.0 < p < 1.0)})
-    value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, cfg.max_depth, 65)
+    monotone = folded.monotone  # () for a fold built without it
+    # 2 points on a monotone kink interval, unless its inset upper end rounds
+    # onto the next kink and so reads the next interval's value
+    scans = [
+        2 if monotone and monotone[bisect_right(folded.kinks, p)] and q - _EDGE_INSET * (q - p) < q else 65
+        for p, q in zip(pts, pts[1:])
+    ]
+    value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, cfg.max_depth, scans)
     if abs(signed) > max(10.0 * err, 1e-9):
         message = f"fold mass is off by {signed:.3g}: the quadrature missed part of the fold"
         raise QuadratureError(message, 0.5 * value, 0.5 * err)
     detail = (
         f"adaptive Simpson, n={n}, {n_pieces} sign-resolved pieces, "
-        f"{len(folded.kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, fold {folded.route}"
+        f"{len(folded.kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, "
+        f"{sum(monotone)} of {len(folded.kinks) + 1} kink intervals monotone, fold {folded.route}"
     )
     return OracleResult(0.5 * value, 0.5 * err, "quadrature_L1", detail)
 
@@ -600,7 +623,7 @@ def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = No
     total, err_mean = integrate(fn, a, b, cfg)
     y = total / (b - a)
     pts = sorted({a, b, *(p for p in cfg.breakpoints if a < p < b)})
-    residual, err, _, _ = _abs_deviation(fn, y, pts, cfg.abs_tol, cfg.max_depth, 129)
+    residual, err, _, _ = _abs_deviation(fn, y, pts, cfg.abs_tol, cfg.max_depth, repeat(129))
     return residual, y, err_mean + err
 
 

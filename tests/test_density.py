@@ -542,10 +542,25 @@ def test_exp_translate_sum_without_underflow_or_overflow(lo, hi, amp, rate):
     np.testing.assert_allclose(kernel(t.tolist()), want, rtol=1e-12, atol=0)
 
 
-# relative error allowed on the factor an exp segment's mass and translate
-# series put on its value at their larger end: the series' exponents reach
-# about 700, whose rounding alone is 700 * eps = 1.6e-13, and the expm1
-# ratios add a few ulps
+@pytest.mark.parametrize("amp, rate, at, x", ((1e300, 1.0, 1000.0, 0.5), (1e85, 1e-300, 7.18e302, 1.0)))
+def test_exp_value_where_the_exponential_alone_underflows(amp, rate, at, x):
+    # e**(rate * (x - at)) is below the normal doubles while amp times it
+    # is not: the value read 0.0 and 1.5e-12 off.  Checked against amp *
+    # e**z for the exponent z the segment forms in doubles; the rounding of
+    # z itself (4e-14 of the second value) is the input's, as on every exp
+    seg = bf.exp_segment(0.0, 1.0, amp, rate, at)
+    z = rate * (x - at)
+    with mpmath.workdps(40):
+        want = mpmath.mpf(amp) * mpmath.exp(z)
+        for got in (seg(x), float(seg(np.array([x]))[0])):
+            assert abs(got - want) <= 1e-15 * want
+    assert bf.normalized((bf.exp_segment(0.0, 1.0, 1e300, 1.0, 1000.0),)).segment_masses == pytest.approx((1.0,))
+
+
+# relative error allowed on an exp segment's mass and translate series
+# against mpmath: the value's exponent reaches about 1400 and the series'
+# about 700, whose rounding alone is up to 1400 * eps = 3.1e-13, and the
+# expm1 ratios add a few ulps
 _EXP_REL = 1e-12
 
 
@@ -565,7 +580,8 @@ def test_exp_mass_and_series_match_high_precision(lo, log_width, rate_share, sig
     # 1e300 at the larger end and an amp from 1e-300 to 1e300 at an anchor
     # as far off as that takes: huge bases, far anchors, long steep pieces.
     # mass and series start from the segment's value at their larger end,
-    # so each is checked as that value times a factor computed in mpmath
+    # so each is checked as that value, computed in mpmath from amp, rate
+    # and at, times a factor computed in mpmath
     width = 10.0**log_width
     hi = lo + width
     rate = sign * 10.0 ** (-300.0 + rate_share * (300.0 + math.log10(700.0 / width)))
@@ -578,14 +594,15 @@ def test_exp_mass_and_series_match_high_precision(lo, log_width, rate_share, sig
         assume(False)
     assume(1e-300 <= seg(top) <= 1e300)
 
+    r = mpmath.mpf(rate)
+
     def check(got, end, factor):
         # a subnormal start or result has lost bits to underflow already
-        start = seg(float(end))
+        start = seg.params[0] * mpmath.exp(r * (mpmath.mpf(end) - seg.params[2]))
         want = start * factor
         if start >= sys.float_info.min and want >= sys.float_info.min:
             assert abs(got - want) <= _EXP_REL * want
 
-    r = mpmath.mpf(rate)
     with mpmath.workdps(40):
         mid = lo + cut * width
         for a, b in ((lo, hi), (lo, mid), (mid, hi)):

@@ -137,23 +137,112 @@ def test_tolerance_under_the_rounding_noise_stops_refining(monkeypatch):
 @pytest.mark.parametrize(
     "density, n, points, value",
     [
-        (lambda: bf.uniform_log_density(10), 1000, 82, "0.0002878231154296738"),
-        (lambda: bf.uniform_log_density(2), 1, 139, "0.08607133205593381"),
+        (lambda: bf.uniform_log_density(10), 1000, 18, "0.00028782311542967226"),
+        (lambda: bf.uniform_log_density(2), 1, 76, "0.08607133205593381"),
         (lambda: bf.triangular_density(0.0, 1.0, 2.0), 59, 70, "5.551115123125782e-17"),
-        (lambda: bf.triangular_density(0.0, 0.3, 2.0), 3, 161, "0.004901960784313728"),
-        (lambda: bf.PiecewiseDensity((bf.linear_segment(0.0, 1.0, 2.0, 0.0),)), 3, 76, "0.08333333333333333"),
+        (lambda: bf.triangular_density(0.0, 0.3, 2.0), 3, 98, "0.004901960784313728"),
+        (lambda: bf.PiecewiseDensity((bf.linear_segment(0.0, 1.0, 2.0, 0.0),)), 3, 13, "0.08333333333333333"),
     ],
 )
 def test_oracle_reads_the_fold_only_through_fn(monkeypatch, density, n, points, value):
     # the benchmark counts fold points by wrapping FoldedDensity.fn with
     # dataclasses.replace: every point the oracle evaluates must pass there,
-    # and the wrapped fold must give the same value.  The scan samples of
-    # triangular 0 1 2 all sit within the roundoff floor; of the 2x density
-    # only the one on its crossing at 0.5 does, and the rest cross it
+    # and the wrapped fold must give the same value, and scan a monotone
+    # kink interval at its two ends as the unwrapped one does.  The scan
+    # samples of triangular 0 1 2, which sums a rising and a falling series,
+    # all sit within the roundoff floor; the 2x density is scanned at its ends
     calls = _counting_fold(monkeypatch)
     r = bf.delta_numeric(density(), n)
     assert [len(c) for c in calls] == [points]
     assert repr(r.value) == value
+
+
+def _exp_heavy(f, rng):
+    # f's segments as exp pieces of either direction, rates up to 40, mass normalized
+    segs = []
+    for seg in f.segments:
+        rate = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 40.0))
+        segs.append(bf.exp_segment(seg.lo, seg.hi, float(rng.uniform(0.1, 2.0)), rate, seg.hi if rate > 0 else seg.lo))
+    return bf.normalized(segs)
+
+
+def _full_scan(f, n):
+    # delta_numeric with the fold's monotone flags stripped: 65 scan points everywhere
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "fold_mod1", lambda g, fold=oracle.fold_mod1: dataclasses.replace(fold(g), monotone=()))
+        return bf.delta_numeric(f, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    exp_heavy=st.booleans(),
+    n=st.sampled_from((1, 2, 3, 8, 2.5)),
+)
+def test_monotone_kink_intervals_scanned_at_their_ends(seed, exp_heavy, n):
+    # a kink interval flagged monotone is monotone on 257 samples, up to
+    # rounding, and scanning it at its two ends finds what 65 points find.
+    # The upper inset end of a narrow interval can round onto the next kink,
+    # whose sample belongs to the next interval
+    rng = np.random.default_rng(seed)
+    f = random_density(rng)
+    f = _exp_heavy(f, rng) if exp_heavy else f
+    folded = bf.fold_mod1(bf.scale_density(f, n))
+    assert len(folded.monotone) == len(folded.kinks) + 1
+    for p, q, flag in zip((0.0, *folded.kinks), (*folded.kinks, 1.0), folded.monotone):
+        if flag:
+            inset = 1e-12 * (q - p)
+            ys = folded.fn._on_list([x for x in oracle._linspace(p + inset, q - inset, 257) if x < q])
+            slack = 1e-15 * max(map(abs, ys))
+            steps = [b - a for a, b in zip(ys, ys[1:])]
+            assert min(steps) >= -slack or max(steps) <= slack
+    try:
+        want = _full_scan(f, n)
+    except (bf.QuadratureError, bf.BisectionError):
+        return
+    got = bf.delta_numeric(f, n)  # a refusal here is a new one and fails the test
+    assert abs(got.value - want.value) <= 1e-15
+    assert f"{sum(folded.monotone)} of {len(folded.monotone)} kink intervals monotone, fold" in got.detail
+
+
+def test_a_narrow_monotone_interval_keeps_its_full_scan():
+    # the fold rises across 1 on [0.5, 0.5 + 1e-5) and reads 0.98 on both
+    # sides.  The upper inset end, 0.5 + 1e-5 - 1e-17, rounds onto the
+    # kink, so a scan at the two ends would read 0.98 twice, miss the
+    # crossing and refuse with a mass error of 1e-7
+    w = 1e-5
+    f = bf.PiecewiseDensity(
+        (
+            bf.const_segment(0.0, 1.0, 0.98),
+            bf.linear_segment(2.5, 2.5 + w, 4000.0, -4000.0 * 2.5),
+            bf.const_segment(3.6, 4.0, (0.02 - 2000.0 * w * w) / 0.4),
+        )
+    )
+    assert bf.fold_mod1(f).monotone == (True, True, True, True)
+    r = bf.delta_numeric(f, 1)
+    assert r.value == _full_scan(f, 1).value
+    assert r.value == pytest.approx(0.5 * (0.02 * (0.6 - w) + 0.01 * w + 0.03 * 0.4 - 2000.0 * w * w), abs=1e-12)
+
+
+def test_a_mislabelled_exp_segment_does_not_make_its_interval_monotone():
+    # a rising exp segment flagged "decreasing" and a falling line fold onto
+    # one interval: by the flags both fall, by the parameters they do not
+    rising = bf.Segment(0.0, 1.0, None, "decreasing", "convex", "exp", (1.0, 2.0))
+    falling = bf.linear_segment(1.0, 2.0, -1.0, 2.5)
+    assert (rising.direction, falling.direction) == (1, -1)
+    f = bf.normalized((rising, falling))
+    folded = bf.fold_mod1(f)
+    assert folded.kinks == () and folded.monotone == (False,)
+    r = bf.delta_numeric(f, 1)
+    assert "0 of 1 kink intervals monotone" in r.detail
+    assert r.value == _full_scan(f, 1).value
+    # each kind's direction comes from its parameters
+    assert bf.const_segment(0.0, 1.0, 1.0).direction == 0
+    assert bf.linear_segment(0.0, 1.0, 0.0, 1.0).direction == 0
+    assert bf.exp_segment(0.0, 1.0, 1.0, -3.0).direction == -1
+    assert custom_twin_density(f).segments[0].direction is None
+    assert bf.fold_mod1(custom_twin_density(bf.uniform_log_density(10))).monotone == (False,)
+    assert bf.fold_mod1(bf.uniform_log_density(10)).monotone == (True,)
 
 
 def test_evaluators_are_freed_without_the_cyclic_collector():

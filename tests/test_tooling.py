@@ -1,5 +1,7 @@
-"""The test suite's own configuration, checked by running pytest on a temporary test."""
+"""The repository's own tooling: the test suite's configuration, checked by running
+pytest on a temporary test, and a check for dead imports in `src/benfold`."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,35 @@ def test_a_failing_hypothesis_test_is_reported(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAILED test_fails.py::test_fails" in proc.stdout
+
+
+def _dead_imports(path):
+    # (line, name) of each name an import binds that the module never reads;
+    # an import block under a comment saying it re-exports is exempt
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    dead = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if node.lineno > 1 and "re-export" in lines[node.lineno - 2] and lines[node.lineno - 2].lstrip().startswith("#"):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read:
+                dead.append((node.lineno, name))
+    return dead
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # there is no linter here; each dead import costs every cold command its compile and load
+    found = {path.name: dead for path in sorted((ROOT / "src" / "benfold").glob("*.py")) if (dead := _dead_imports(path))}
+    assert found == {}
+
+
+def test_the_dead_import_check_sees_one(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("import math\nimport os.path\nfrom sys import argv as args\n\n# re-exported\nfrom io import BytesIO\n\nprint(os.sep)\n")
+    assert _dead_imports(module) == [(1, "math"), (3, "args")]
