@@ -7,8 +7,9 @@ log-uniform coefficients and tail majorant it is fed.  The log-uniform
 closed forms live in `closed` and are re-exported here.
 
 Every report carries the hypotheses the method relied on and where each
-came from: segment flags and kinds, a grid estimate, or the caller's tail
-bound.  The (sup-inf)/8 bound is certified or refused, never assumed.
+came from: segment kinds, a custom segment's caller-asserted monotone claim,
+a grid estimate, or the caller's tail bound.  The (sup-inf)/8 bound is
+certified or refused, never assumed.
 """
 
 from __future__ import annotations
@@ -44,20 +45,22 @@ def bound_step_density(f: PiecewiseDensity) -> BoundReport:
 
     The step density matches f's mass on every integer cell and folds to the
     exact uniform, so half the L1 gap bounds the distance of X mod 1 from
-    uniform with no shape hypotheses at all.  Exact when the support spans a
+    uniform with no shape hypotheses at all, save one: the crossings of a
+    custom segment claimed monotone are looked for at its ends only, so the
+    report names that claim caller-asserted.  Exact when the support spans a
     single cell.
     """
     n_lo, m_hi = f.delineated_interval()
-    closed_form = all(seg.kind != "custom" for seg in f.segments)
+    customs = [seg for seg in f.segments if seg.kind == "custom"]
     total = 0.0
     for k in range(n_lo, m_hi):
         s_k = sum(seg.mass(k, k + 1) for seg in f.segments)
         total += _cell_abs_deviation(f, float(k), float(k + 1), s_k)
-    hyp = (
-        "no shape hypotheses required",
-        "cell integrals: closed form" if closed_form else "cell integrals: quadrature",
-    )
-    return BoundReport("step_density", 0.5 * total, hyp)
+    shape = "no shape hypotheses required"
+    if any(seg.monotone for seg in customs):
+        shape = "crossings: read at the ends of caller-asserted monotone custom segments"
+    integrals = "cell integrals: quadrature" if customs else "cell integrals: closed form"
+    return BoundReport("step_density", 0.5 * total, (shape, integrals))
 
 
 def _cell_abs_deviation(f: PiecewiseDensity, a: float, b: float, level: float) -> float:
@@ -92,9 +95,11 @@ def _segment_abs_deviation(seg, lo: float, hi: float, level: float) -> float:
 
 
 def _variation_hypothesis(f: PiecewiseDensity) -> str:
-    if all(seg.monotonicity != "unknown" for seg in f.segments):
-        return "variation: exact (monotone segment flags)"
-    return "variation: grid estimate, a lower bound; bound not certified"
+    if not all(seg.monotone for seg in f.segments):
+        return "variation: grid estimate, a lower bound; bound not certified"
+    if any(seg.kind == "custom" for seg in f.segments):
+        return "variation: exact if the custom segments' caller-asserted monotone claims hold"
+    return "variation: exact, every segment monotone by its kind"
 
 
 def bound_tv_quarter(f: PiecewiseDensity) -> BoundReport:
@@ -133,24 +138,19 @@ def bound_convex_eighth(f: PiecewiseDensity) -> BoundReport:
     shape, which holds when one affine or exponential segment covers the
     whole interval; a ramp that idles at zero before rising, or a power-law
     profile like x**1.5, exceeds it.  So only that case is certified, from
-    its flags and its kind, and anything else raises DensityError.
+    the segment's kind alone, and anything else raises DensityError.
     """
     seg = f.segments[0]
     n_lo, m_hi = f.delineated_interval()
     if (
         len(f.segments) > 1
         or seg.kind == "custom"
-        or seg.monotonicity == "unknown"
-        or seg.convexity != "convex"
         or not n_lo - 1e-12 <= seg.lo <= n_lo + 1e-12
         or not m_hi - 1e-12 <= seg.hi <= m_hi + 1e-12
     ):
-        raise DensityError(
-            "certified only for one affine or exponential segment with monotone and "
-            f"convex flags covering ({n_lo:g}, {m_hi:g})"
-        )
+        raise DensityError(f"certified only for one const, linear or exp segment covering ({n_lo:g}, {m_hi:g})")
     # const, linear and exp (amp > 0) are monotone and convex by construction
-    label = "certified (segment flags and kind)"
+    label = "certified (segment kind)"
     hyp = (f"monotone: {label}", f"convex: {label}", f"one affine or exponential segment: {label}")
     return BoundReport("convex_eighth", abs(float(seg(seg.hi)) - float(seg(seg.lo))) / 8.0, hyp)
 

@@ -186,10 +186,9 @@ def _num(token: str) -> float:
 def load_piecewise_file(path: str) -> PiecewiseDensity:
     """Load a density from a JSON array of segment records.
 
-    Each record: {lo, hi, kind: "const"|"linear"|"exp", params,
-    monotonicity?, convexity?}.  lo, hi and params are JSON numbers, the
-    flags strings; flags default to what the kind implies.  A record field
-    or a param name outside these is refused.
+    Each record: {lo, hi, kind: "const"|"linear"|"exp", params}.  lo, hi
+    and params are JSON numbers; the kind fixes the segment's shape.  A
+    record field or a param name outside these is refused.
     """
     import json
 
@@ -214,19 +213,15 @@ def load_piecewise_file(path: str) -> PiecewiseDensity:
             numbers = (entry["lo"], entry["hi"], *(params[k] for k in names))
             if not all(type(x) in (int, float) for x in numbers):  # a bool is no JSON number
                 raise TypeError("bounds and params must be numbers")
-            unknown = sorted({*entry} - {"lo", "hi", "kind", "params", "monotonicity", "convexity"})
+            unknown = sorted({*entry} - {"lo", "hi", "kind", "params"})
             unknown += sorted({*params} - {*names})
             if unknown:
                 raise DensityError(f"unknown segment record fields {unknown} in {entry!r}")
-            seg = builder(*map(float, numbers))
-            flags = [entry.get(k, getattr(seg, k)) for k in ("monotonicity", "convexity")]
-            if not all(type(flag) is str for flag in flags):
-                raise TypeError("flags must be strings")
+            segments.append(builder(*map(float, numbers)))
         except KeyError as exc:
             raise DensityError(f"segment record missing field {exc}") from exc
         except (TypeError, OverflowError) as exc:  # a value of the wrong type, or an int past the floats
             raise DensityError(f"malformed segment record {entry!r}") from exc
-        segments.append(Segment(seg.lo, seg.hi, None, *flags, seg.kind, seg.params))
     return PiecewiseDensity(tuple(segments))
 
 

@@ -1,9 +1,9 @@
 """Piecewise-smooth probability densities, folding modulo 1, and variation.
 
-A density is a list of smooth segments with analyst-supplied shape flags
-(monotonicity, convexity).  The flags are what let the variation and the
-convexity-boosted bounds run on certified closed forms; "unknown" flags
-degrade to grid estimation, which is reported as a lower bound.
+A density is a list of smooth segments.  The const, linear and exp kinds are
+monotone and convex by construction, which lets the variation and the
+convexity-boosted bounds run on certified closed forms; a custom segment not
+claimed monotone degrades to grid estimation, reported as a lower bound.
 
 numpy is imported on first array use.  Building densities from built-in
 segments, their masses, their variation and their translate series at Python
@@ -33,9 +33,6 @@ class _LazyNumpy:
 
 
 np = _LazyNumpy(globals())
-
-MONOTONICITIES = ("increasing", "decreasing", "constant", "unknown")
-CONVEXITIES = ("convex", "concave", "neither", "unknown")
 
 # Per segment kind: the power of n each parameter picks up when the density
 # is stretched to x -> f(x/n)/n, and the power of c it picks up when the
@@ -124,19 +121,19 @@ class Segment(_Record):
     crossings numerically with scipy, imported on first use; an exp
     segment's mass and translate series start from its larger end.  Called
     on a Python int or float, a built-in kind returns a float computed with
-    `math`; on anything else, an array.  The shape flags certify behaviour
-    the variation and bound code is allowed to rely on.
+    `math`; on anything else, an array.  monotone is True for the built-in
+    kinds, whatever is passed; for custom it is the caller's unchecked claim,
+    which lets the variation and the crossing search read the ends only.
     """
 
-    __slots__ = _fields = ("lo", "hi", "base", "monotonicity", "convexity", "kind", "params")
+    __slots__ = _fields = ("lo", "hi", "base", "monotone", "kind", "params")
 
     def __init__(
         self,
         lo: float,
         hi: float,
         base=None,
-        monotonicity: str = "unknown",
-        convexity: str = "unknown",
+        monotone: bool = False,
         kind: str = "custom",
         params=(1.0, 1.0),
     ):
@@ -146,10 +143,8 @@ class Segment(_Record):
             raise DensityError(f"segment width hi - lo must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise DensityError(f"segment needs lo < hi, got [{lo}, {hi}]")
-        if monotonicity not in MONOTONICITIES:
-            raise DensityError(f"unknown monotonicity flag {monotonicity!r}")
-        if convexity not in CONVEXITIES:
-            raise DensityError(f"unknown convexity flag {convexity!r}")
+        if type(monotone) is not bool:
+            raise DensityError(f"monotone must be True or False, got {monotone!r}")
         if kind not in _PARAM_MAPS:
             raise DensityError(f"unknown segment kind {kind!r}")
         if (base is None) == (kind == "custom"):
@@ -160,7 +155,7 @@ class Segment(_Record):
             raise DensityError(f"wrong parameter count for a {kind} segment: {params!r}")
         if kind == "exp" and (params[0] == 0.0 or params[1] == 0.0):  # a negative amp fails the value check below
             raise DensityError("exp segment needs a nonzero amp and rate")
-        self._set(lo=lo, hi=hi, base=base, monotonicity=monotonicity, convexity=convexity, kind=kind, params=params)
+        self._set(lo=lo, hi=hi, base=base, monotone=monotone or kind != "custom", kind=kind, params=params)
         if kind == "custom":
             xs = np.linspace(lo, hi, 17)
             try:
@@ -229,7 +224,7 @@ class Segment(_Record):
 
         Built-in kinds are monotone, so they cross at most once, at a point
         given in closed form.  A custom segment is scanned (at its endpoints
-        only when flagged monotone) and each sign change refined by brentq.
+        only when claimed monotone) and each sign change refined by brentq.
         """
         p = self.params
         if self.kind == "const" or (self.kind == "linear" and p[0] == 0.0):
@@ -240,8 +235,7 @@ class Segment(_Record):
         if self.kind == "exp":
             x = p[2] + math.log(level / p[0]) / p[1] if level > 0 else math.nan
             return [x] if a < x < b else []
-        monotone = self.monotonicity in ("increasing", "decreasing", "constant")
-        xs = np.linspace(a, b, 2 if monotone else 65)
+        xs = np.linspace(a, b, 2 if self.monotone else 65)
         ys = self(xs) - level
         roots = []
         for i in range(len(xs) - 1):
@@ -288,7 +282,7 @@ class Segment(_Record):
 
         Read from kind and params: 0 for const, the sign of a linear slope, the
         sign of amp * rate for exp; None for custom, whose direction is not
-        known.  The monotonicity flag is the analyst's claim and is not read.
+        known.  A custom segment's monotone claim is not read.
         """
         if self.kind == "custom":
             return None
@@ -297,22 +291,18 @@ class Segment(_Record):
             return 1 if (p[0] > 0.0) == (p[1] > 0.0) else -1
         return 0 if self.kind == "const" else (p[0] > 0.0) - (p[0] < 0.0)
 
-    def stretched(self, n: float) -> Segment:
-        """The matching piece of the density of n*X: x -> self(x/n)/n."""
-        powers = _PARAM_MAPS[self.kind][0]
-        params = tuple([p * n**k for p, k in zip(self.params, powers)])
-        return self._with(self.lo * n, self.hi * n, params)
+    def scaled(self, n=1, c=1) -> Segment:
+        """The piece x -> c * self(x/n)/n for n, c > 0: stretched by n, times c.
 
-    def amplified(self, c: float) -> Segment:
-        """The segment times c > 0; an exp amp off the normal doubles moves to the larger end."""
-        params = tuple(p * c**k for p, k in zip(self.params, _PARAM_MAPS[self.kind][1]))
+        An exp amp off the normal doubles moves to the larger end, where the
+        value is c/n times this segment's at its own.
+        """
+        params = tuple([p * n**k * c**j for p, k, j in zip(self.params, *_PARAM_MAPS[self.kind])])
+        lo, hi = self.lo * n, self.hi * n
         if self.kind == "exp" and not sys.float_info.min <= params[0] < math.inf:
-            end = float(self.hi if self.params[1] > 0 else self.lo)
-            params = (self(end) * c, self.params[1], end)
-        return self._with(self.lo, self.hi, params)
-
-    def _with(self, lo, hi, params) -> Segment:
-        return Segment(lo, hi, self.base, self.monotonicity, self.convexity, self.kind, params)
+            up = params[1] > 0
+            params = (self(float(self.hi if up else self.lo)) * (c * n**-1), params[1], float(hi if up else lo))
+        return Segment(lo, hi, self.base, self.monotone, self.kind, params)
 
 
 class _MassError(DensityError):
@@ -388,10 +378,10 @@ class PiecewiseDensity(_Record):
 
 
 def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
-    """Density of n*X: x -> f(x/n)/n, support stretched by n, flags preserved."""
+    """Density of n*X: x -> f(x/n)/n, support stretched by n, each segment's kind and claim kept."""
     scale = _require_positive(n, "scale factor")
     try:
-        return PiecewiseDensity([seg.stretched(scale) for seg in f.segments])
+        return PiecewiseDensity([seg.scaled(scale) for seg in f.segments])
     except (OverflowError, _MassError) as exc:  # n**k past the doubles, or a slope under them
         raise DensityError(f"scaling by {n!r} underflows or overflows the segment parameters") from exc
 
@@ -438,7 +428,7 @@ def _variation_core(f: PiecewiseDensity):
         v_lo, v_hi = float(seg(seg.lo)), float(seg(seg.hi))
         if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
             return math.inf, math.inf, math.inf
-        if seg.monotonicity != "unknown":
+        if seg.monotone:
             total += abs(v_hi - v_lo)
         else:
             total += _grid_variation_refined(seg, seg.lo, seg.hi)
@@ -488,14 +478,12 @@ def tv_full_line(f: PiecewiseDensity) -> float:
 def const_segment(lo: float, hi: float, value: float) -> Segment:
     if value < 0:
         raise DensityError("constant segment needs a nonnegative value")
-    return Segment(lo, hi, None, "constant", "convex", "const", (float(value),))
+    return Segment(lo, hi, kind="const", params=(float(value),))
 
 
 def linear_segment(lo: float, hi: float, slope: float, intercept: float) -> Segment:
     """Affine piece slope*x + intercept; affine counts as convex."""
-    s = float(slope)
-    mono = "increasing" if s > 0 else ("decreasing" if s < 0 else "constant")
-    return Segment(lo, hi, None, mono, "convex", "linear", (s, float(intercept)))
+    return Segment(lo, hi, kind="linear", params=(float(slope), float(intercept)))
 
 
 def exp_segment(lo: float, hi: float, amp: float, rate: float, at: float = 0.0) -> Segment:
@@ -504,8 +492,7 @@ def exp_segment(lo: float, hi: float, amp: float, rate: float, at: float = 0.0) 
         raise DensityError("exponential segment needs amp > 0")
     if rate == 0.0:
         return const_segment(lo, hi, amp)
-    mono = "increasing" if rate > 0 else "decreasing"
-    return Segment(lo, hi, None, mono, "convex", "exp", (float(amp), float(rate), float(at)))
+    return Segment(lo, hi, kind="exp", params=(float(amp), float(rate), float(at)))
 
 
 def uniform_density(lo: float, hi: float) -> PiecewiseDensity:
@@ -547,4 +534,4 @@ def normalized(segments) -> PiecewiseDensity:
     total = math.fsum(seg.mass() for seg in segs)
     if not (math.isfinite(total) and total > 0):
         raise DensityError(f"cannot normalize segments with total mass {total!r}")
-    return PiecewiseDensity(tuple(seg.amplified(1.0 / total) for seg in segs))
+    return PiecewiseDensity(tuple(seg.scaled(c=1.0 / total) for seg in segs))

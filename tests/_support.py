@@ -9,7 +9,7 @@ from benfold.density import _snap_int, _snapped
 
 
 def random_density(rng, max_cells=5, allow_gaps=True):
-    """Random piecewise density with truthful shape flags, mass normalized.
+    """Random piecewise density of const, linear and exp segments, mass normalized.
 
     Mixes constant/linear/exponential segments over a support spanning one
     to max_cells integer cells, optionally with interior zero gaps.
@@ -39,7 +39,7 @@ def random_density(rng, max_cells=5, allow_gaps=True):
 
 def custom_twin(seg):
     """The same segment as a custom one, evaluated through its function."""
-    return Segment(seg.lo, seg.hi, seg, seg.monotonicity, seg.convexity)
+    return Segment(seg.lo, seg.hi, seg, seg.monotone)
 
 
 def custom_twin_density(f):

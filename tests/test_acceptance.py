@@ -11,7 +11,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import benfold as bf
 from benfold.density import DensityError

@@ -10,7 +10,7 @@ import benfold as bf
 from benfold.bounds import VacuousBoundError
 from benfold.density import DensityError
 
-from _support import random_density
+from _support import custom_twin, custom_twin_density, random_density
 
 LN10 = math.log(10.0)
 
@@ -60,6 +60,21 @@ def test_step_density_reference_value():
     assert f"{got:.7f}" == "0.2688434"
 
 
+def test_step_density_names_a_monotone_claim_caller_asserted():
+    # a custom segment's crossings are looked for at its ends only when it
+    # claims to be monotone; on a bump that claim is false and the bound
+    # misses the whole gap, so the report must not read as certified
+    def bump(x):
+        return 1.0 + 0.5 * np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
+
+    honest = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, bump),)))
+    assert honest.hypotheses_verified == ("no shape hypotheses required", "cell integrals: quadrature")
+    assert honest.value == pytest.approx(0.5 / math.pi, abs=1e-9)
+    claimed = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, bump, True),)))
+    assert "caller-asserted" in claimed.hypotheses_verified[0]
+    assert claimed.value < honest.value
+
+
 def test_step_density_offset_support():
     # fractional, gap-ridden supports still produce a sound bound
     f = bf.PiecewiseDensity(
@@ -82,6 +97,21 @@ def test_tv_quarter_examples():
     tri = bf.triangular_density(0, 1, 2)
     assert bf.bound_tv_quarter(tri).value == pytest.approx(0.5, rel=1e-14)
     assert bf.delta_numeric(tri, 1).value <= 0.5 + 1e-10
+
+
+def test_variation_label_tells_a_monotone_kind_from_a_caller_assertion():
+    # built-ins are monotone by their kind; a custom segment only by its
+    # caller's claim, which the label names as asserted, not certified
+    f = bf.uniform_log_density(10)
+    by_kind = "variation: exact, every segment monotone by its kind"
+    assert bf.bound_tv_quarter(f).hypotheses_verified == (by_kind,)
+    assert bf.bound_tv_scaled(f, 3).hypotheses_verified[1] == by_kind
+    mixed = bf.PiecewiseDensity((bf.const_segment(0.0, 0.5, 0.5), custom_twin(bf.const_segment(0.5, 1.0, 1.5))))
+    for g in (custom_twin_density(f), mixed):
+        for report in (bf.bound_tv_quarter(g), bf.bound_tv_scaled(g, 3)):
+            assert "caller-asserted" in report.hypotheses_verified[-1]
+    unclaimed = bf.PiecewiseDensity((bf.Segment(0.0, 1.0, f.segments[0]),))
+    assert "not certified" in bf.bound_tv_quarter(unclaimed).hypotheses_verified[0]
 
 
 def test_tv_quarter_vacuous_on_infinite_variation(monkeypatch):
@@ -138,20 +168,20 @@ def test_convex_eighth_rejects_contradictions():
     )
     with pytest.raises(DensityError):  # interior zero gap
         bf.bound_convex_eighth(f)
-    bad = bf.PiecewiseDensity(
-        (bf.Segment(0.0, 1.0, lambda x: np.full(np.shape(x), 1.0), "constant", "concave"),)
-    )
-    with pytest.raises(DensityError):
-        bf.bound_convex_eighth(bad)
+    flat = bf.PiecewiseDensity((bf.Segment(0.0, 1.0, lambda x: np.full(np.shape(x), 1.0), True),))
+    with pytest.raises(DensityError):  # a custom segment, claimed monotone or not
+        bf.bound_convex_eighth(flat)
 
 
 def test_convex_eighth_caller_assertion():
-    # unknown flags are refused, whatever the kind implies
-    flagged = bf.uniform_log_density(10).segments[0]
-    for flags in (("unknown", "unknown"), ("unknown", "convex"), ("increasing", "unknown")):
-        seg = bf.Segment(flagged.lo, flagged.hi, None, *flags, "exp", flagged.params)
+    # a custom twin of a certified segment is refused, whatever it claims;
+    # the built-in it copies is certified by its kind alone
+    seg = bf.uniform_log_density(10).segments[0]
+    for claim in (True, False):
         with pytest.raises(DensityError, match="certified only"):
-            bf.bound_convex_eighth(bf.PiecewiseDensity((seg,)))
+            bf.bound_convex_eighth(bf.PiecewiseDensity((bf.Segment(seg.lo, seg.hi, seg, claim),)))
+    report = bf.bound_convex_eighth(bf.PiecewiseDensity((seg,)))
+    assert all(h.endswith("certified (segment kind)") for h in report.hypotheses_verified)
 
 
 def test_convex_eighth_interval_mismatch():
@@ -224,7 +254,7 @@ def _single_segment_density(kind, k, cells, y0, y1, log_rate):
 def test_certified_convex_eighth_is_monotone_and_convex_on_a_grid(
     kind, k, cells, y0, y1, log_rate, seed
 ):
-    # the certified label rests on the segment's flags and kind alone; every
+    # the certified label rests on the segment's kind alone; every
     # density it certifies passes a 257-point monotone and convex check
     assume(kind != "linear" or y0 + y1 > 1e-3)
     assume(kind != "exp" or 10.0**log_rate * cells < 700.0)
@@ -235,7 +265,7 @@ def test_certified_convex_eighth_is_monotone_and_convex_on_a_grid(
         except DensityError:
             assert f is not single
             continue
-        assert all("certified (segment flags and kind)" in h for h in report.hypotheses_verified)
+        assert all("certified (segment kind)" in h for h in report.hypotheses_verified)
         assert _grid_monotone_convex(f, *f.support())
 
 

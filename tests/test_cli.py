@@ -269,6 +269,16 @@ def test_oracle_takes_a_real_n(capsys):
         assert code == 2 and "scale factor must be positive" in err
 
 
+@pytest.mark.parametrize("b", ("1e300", "1.7e308"))
+def test_oracle_on_a_huge_base_takes_every_n(capsys, b):
+    # at n = 1e200 and 1e300 the stretched amp underflows while the values
+    # the density takes do not: a value, not an exit 2
+    for n in ("1", "7", "2.5", "1e15", "1e200", "1e300", "1e-300"):
+        code, out, err = run_cli(capsys, "oracle", "--density", f"uniform-log b={b}", "--n", n)
+        assert code == 0, (n, err)
+        assert out.startswith("quadrature")
+
+
 def test_oracle_mc_engine_rejects_bad_n(capsys):
     # both engines take the same n: a finite real > 0
     for bad in ("0", "-3", "nan", "inf"):
@@ -661,14 +671,12 @@ def test_piecewise_file_roundtrip(tmp_path, capsys):
             "hi": 1.0,
             "kind": "exp",
             "params": {"amp": lnb / 9.0, "rate": lnb},
-            "monotonicity": "increasing",
-            "convexity": "convex",
         }
     ]
     path = tmp_path / "density.json"
     path.write_text(json.dumps(spec))
     f = cli.load_piecewise_file(str(path))
-    assert f.segments[0].monotonicity == "increasing"
+    assert f.segments == (bf.exp_segment(0.0, 1.0, lnb / 9.0, lnb),)
     code, out, _ = run_cli(
         capsys, "bound", "--density", f"piecewise {path}", "--method", "tv_quarter"
     )
@@ -681,7 +689,8 @@ def test_piecewise_file_defaults_flags(tmp_path):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(spec))
     f = cli.load_piecewise_file(str(path))
-    assert f.segments[0].monotonicity == "constant"
+    # the builder's segment as it is: monotone by its kind, with no flag to set
+    assert f.segments == (bf.const_segment(0.0, 2.0, 0.5),) and f.segments[0].monotone
 
 
 def test_piecewise_file_errors(tmp_path, capsys):
@@ -706,12 +715,12 @@ def test_piecewise_file_errors(tmp_path, capsys):
     assert code == 2
     assert "mass" in err
     # records of the wrong type: a bare number, a null bound, params as a
-    # list, a kind as a list, a bool or string bound, a flag that is no string;
-    # and records with a field or a param the kind does not have
+    # list, a kind as a list, a bool or string bound; and records with a
+    # field or a param the kind does not have, shape flags included
     good = {"lo": 0, "hi": 1, "kind": "const", "params": {"value": 1.0}}
     for records in (
         [1, 2], [{**good, "lo": None}], [{**good, "params": [1]}], [{**good, "kind": ["const"]}],
-        [{**good, "hi": True}], [{**good, "lo": "0"}], [{**good, "monotonicity": 0}], [{**good, "convexity": ""}],
+        [{**good, "hi": True}], [{**good, "lo": "0"}], [{**good, "monotonicity": "constant"}], [{**good, "convexity": "convex"}],
         [{**good, "params": {"value": 1.0, "slope": 5}, "monotonicty": "decreasing"}],
         [{**good, "params": {"value": 1.0, "slope": 5}}],
     ):

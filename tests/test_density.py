@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
@@ -60,6 +60,14 @@ def test_rejects_negative_values():
 def test_rejects_bad_flags():
     with pytest.raises(DensityError):
         bf.Segment(0, 1, lambda x: np.ones_like(np.asarray(x)), "sideways")
+    # a segment takes no monotonicity or convexity string: its kind owns its shape
+    with pytest.raises(TypeError):
+        bf.Segment(0, 1, None, "decreasing", "convex", "exp", (1.0, 2.0))
+    with pytest.raises(DensityError, match="monotone must be True or False"):
+        bf.Segment(0, 1, None, "decreasing", "exp", (1.0, 2.0))
+    # a built-in kind is monotone whatever its caller passes
+    seg = bf.Segment(0, 1, None, False, "exp", (1.0, 2.0))
+    assert seg.monotone is True and seg == bf.exp_segment(0, 1, 1.0, 2.0)
 
 
 def test_evaluation_and_ownership():
@@ -100,7 +108,7 @@ def test_exp_segment_with_zero_amp_is_refused():
     # a zero amp or rate is no exponential piece; exp_segment refuses it too
     for rate in (1.0, 800.0):
         with pytest.raises(DensityError, match="nonzero amp"):
-            bf.Segment(0.0, 0.5, None, "increasing", "convex", "exp", (0.0, rate))
+            bf.Segment(0.0, 0.5, None, kind="exp", params=(0.0, rate))
     with pytest.raises(DensityError):
         bf.exp_segment(0.0, 0.5, 0.0, 800.0)
 
@@ -575,6 +583,10 @@ _EXP_REL = 1e-12
     t=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     cut=st.floats(min_value=0.0, max_value=1.0),
 )
+# amp 1e300 anchored past the far end: the largest value is 1e-10, but
+# e**(rate * (x - at)) alone is 1e-310, under the normal doubles
+@example(lo=0.0, log_width=0.0, rate_share=1.0, sign=1.0, log_peak=-10.0, log_amp=300.0, t=0.5, cut=0.5)
+@example(lo=0.0, log_width=0.0, rate_share=1.0, sign=-1.0, log_peak=-10.0, log_amp=300.0, t=0.5, cut=0.5)
 def test_exp_mass_and_series_match_high_precision(lo, log_width, rate_share, sign, log_peak, log_amp, t, cut):
     # rates from 1e-300 to 700 / width of both signs, a peak from 1e-300 to
     # 1e300 at the larger end and an amp from 1e-300 to 1e300 at an anchor
@@ -717,10 +729,22 @@ def test_scale_preserves_flags_and_shape():
     g = bf.scale_density(f, 5)
     seg = g.segments[0]
     assert (seg.lo, seg.hi) == (0.0, 5.0)
-    assert seg.monotonicity == "increasing"
-    assert seg.convexity == "convex"
+    assert (seg.kind, seg.monotone, seg.direction) == ("exp", True, 1)
     # g(x) = f(x/5)/5
     assert g(2.0) == pytest.approx(f(0.4) / 5.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("b", (1e300, 1.7e308))
+@pytest.mark.parametrize("n", (1e200, 1e300))
+def test_a_stretched_exp_amp_under_the_doubles_moves_to_the_larger_end(b, n):
+    # the amp ln(b)/(b - 1)/n underflows, but the largest value, f(1)/n, is
+    # a normal double: the stretched segment is anchored where it takes it
+    f = bf.uniform_log_density(b)
+    seg = bf.scale_density(f, n).segments[0]
+    assert seg.params[2] == seg.hi == n
+    assert seg(seg.hi) == pytest.approx(f.segments[0](1.0) / n, rel=1e-15)
+    r = bf.delta_numeric(f, n)
+    assert abs(r.value - bf.exact_delta_uniform(b, n).value) <= r.error_estimate
 
 
 def test_scale_rejects_nonpositive():
@@ -882,7 +906,7 @@ def test_tv_falls_back_to_grid_for_unknown_flags():
     def bump(x):
         return 1.0 + 0.5 * np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
 
-    seg = bf.Segment(0.0, 1.0, bump, "unknown", "unknown")
+    seg = bf.Segment(0.0, 1.0, bump)  # a custom segment is not claimed monotone by default
     f = bf.PiecewiseDensity((seg,))
     got = bf.tv_integer_delineated(f)
     assert got == pytest.approx(2.0, abs=1e-4)  # 0.5 amplitude: up .5 down 1 up .5

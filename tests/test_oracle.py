@@ -137,11 +137,13 @@ def test_tolerance_under_the_rounding_noise_stops_refining(monkeypatch):
 @pytest.mark.parametrize(
     "density, n, points, value",
     [
-        (lambda: bf.uniform_log_density(10), 1000, 18, "0.00028782311542967226"),
-        (lambda: bf.uniform_log_density(2), 1, 76, "0.08607133205593381"),
-        (lambda: bf.triangular_density(0.0, 1.0, 2.0), 59, 70, "5.551115123125782e-17"),
-        (lambda: bf.triangular_density(0.0, 0.3, 2.0), 3, 98, "0.004901960784313728"),
-        (lambda: bf.PiecewiseDensity((bf.linear_segment(0.0, 1.0, 2.0, 0.0),)), 3, 13, "0.08333333333333333"),
+        pytest.param(lambda: bf.uniform_log_density(10), 1000, 18, "0.00028782311542967226", id="uniform-log-b10-n1000"),
+        pytest.param(lambda: bf.uniform_log_density(2), 1, 76, "0.08607133205593381", id="uniform-log-b2-n1"),
+        pytest.param(lambda: bf.triangular_density(0.0, 1.0, 2.0), 59, 70, "5.551115123125782e-17", id="triangular-0-1-2-n59"),
+        pytest.param(lambda: bf.triangular_density(0.0, 0.3, 2.0), 3, 98, "0.004901960784313728", id="triangular-0-0.3-2-n3"),
+        pytest.param(
+            lambda: bf.PiecewiseDensity((bf.linear_segment(0.0, 1.0, 2.0, 0.0),)), 3, 13, "0.08333333333333333", id="ramp-n3"
+        ),
     ],
 )
 def test_oracle_reads_the_fold_only_through_fn(monkeypatch, density, n, points, value):
@@ -225,9 +227,10 @@ def test_a_narrow_monotone_interval_keeps_its_full_scan():
 
 
 def test_a_mislabelled_exp_segment_does_not_make_its_interval_monotone():
-    # a rising exp segment flagged "decreasing" and a falling line fold onto
-    # one interval: by the flags both fall, by the parameters they do not
-    rising = bf.Segment(0.0, 1.0, None, "decreasing", "convex", "exp", (1.0, 2.0))
+    # a rising exp segment and a falling line fold onto one interval: their
+    # directions come from kind and params, which no label can contradict,
+    # and a rising and a falling series summed need not be monotone
+    rising = bf.exp_segment(0.0, 1.0, 1.0, 2.0)
     falling = bf.linear_segment(1.0, 2.0, -1.0, 2.5)
     assert (rising.direction, falling.direction) == (1, -1)
     f = bf.normalized((rising, falling))
@@ -241,7 +244,9 @@ def test_a_mislabelled_exp_segment_does_not_make_its_interval_monotone():
     assert bf.linear_segment(0.0, 1.0, 0.0, 1.0).direction == 0
     assert bf.exp_segment(0.0, 1.0, 1.0, -3.0).direction == -1
     assert custom_twin_density(f).segments[0].direction is None
-    assert bf.fold_mod1(custom_twin_density(bf.uniform_log_density(10))).monotone == (False,)
+    # a custom twin's monotone claim is not read: only kind and params are
+    twin = custom_twin_density(bf.uniform_log_density(10))
+    assert twin.segments[0].monotone and bf.fold_mod1(twin).monotone == (False,)
     assert bf.fold_mod1(bf.uniform_log_density(10)).monotone == (True,)
 
 

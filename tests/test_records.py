@@ -33,7 +33,7 @@ RECORDS = {
     ),
     "Segment": (
         lambda: bf.uniform_log_density(10).segments[0],
-        ("lo", "hi", "base", "monotonicity", "convexity", "kind", "params"),
+        ("lo", "hi", "base", "monotone", "kind", "params"),
     ),
     "PiecewiseDensity": (
         lambda: bf.triangular_density(0, 1, 2),

@@ -1,5 +1,6 @@
 """The repository's own tooling: the test suite's configuration, checked by running
-pytest on a temporary test, and a check for dead imports in `src/benfold`."""
+pytest on a temporary test, and a check for dead imports in `src/benfold`, the
+tests and `bench`."""
 
 import ast
 import subprocess
@@ -56,8 +57,9 @@ def _dead_imports(path):
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    # there is no linter here; each dead import costs every cold command its compile and load
-    found = {path.name: dead for path in sorted((ROOT / "src" / "benfold").glob("*.py")) if (dead := _dead_imports(path))}
+    # there is no linter here; each dead import in src costs every cold command its compile and load
+    paths = [path for folder in ("src/benfold", "tests", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
+    found = {str(path.relative_to(ROOT)): dead for path in paths if (dead := _dead_imports(path))}
     assert found == {}
 
 
