@@ -41,7 +41,7 @@ _EXPORTS = {
     **dict.fromkeys(
         "FoldedDensity OracleResult QuadratureConfig adaptive_simpson averaging_residual "
         "check_averaging_inequality delta_crossing_unimodal delta_monte_carlo delta_numeric "
-        "fold_mod1 integrate inverse_cdf_sampler uniform_log_sampler uniform_sampler".split(),
+        "fold_mod1 integrate inverse_cdf_sampler".split(),
         "oracle",
     ),
 }

@@ -15,6 +15,7 @@ certified or refused, never assumed.
 from __future__ import annotations
 
 import math
+import sys
 
 # the closed forms are re-exported, so benfold.bounds.<name> resolves to them
 from .closed import (
@@ -32,7 +33,7 @@ from .closed import (
     folded_cdf_uniform,
     fourier_coeff_uniform_log,
 )
-from .density import PiecewiseDensity, _snap_int, tv_full_line, tv_integer_delineated
+from .density import _CROSSING_SCAN, PiecewiseDensity, _snap_int, tv_full_line, tv_integer_delineated
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +46,12 @@ def bound_step_density(f: PiecewiseDensity) -> BoundReport:
 
     The step density matches f's mass on every integer cell and folds to the
     exact uniform, so half the L1 gap bounds the distance of X mod 1 from
-    uniform with no shape hypotheses at all, save one: the crossings of a
-    custom segment claimed monotone are looked for at its ends only, so the
-    report names that claim caller-asserted.  Exact when the support spans a
-    single cell.
+    uniform with no shape hypotheses at all, save on custom segments: the
+    crossings of one claimed monotone are looked for at its ends only, so the
+    report names that claim caller-asserted, and those of any other on a
+    scan of _CROSSING_SCAN points that can miss some, so the report says
+    not certified.  Exact when the support spans a single cell and every
+    crossing is found.
     """
     n_lo, m_hi = f.delineated_interval()
     customs = [seg for seg in f.segments if seg.kind == "custom"]
@@ -59,6 +62,11 @@ def bound_step_density(f: PiecewiseDensity) -> BoundReport:
     shape = "no shape hypotheses required"
     if any(seg.monotone for seg in customs):
         shape = "crossings: read at the ends of caller-asserted monotone custom segments"
+    if not all(seg.monotone for seg in customs):
+        shape = (
+            f"crossings: a {_CROSSING_SCAN}-point scan of each custom segment not claimed monotone, "
+            "which can miss some; not certified"
+        )
     integrals = "cell integrals: quadrature" if customs else "cell integrals: closed form"
     return BoundReport("step_density", 0.5 * total, (shape, integrals))
 
@@ -169,14 +177,18 @@ def uniform_log_tail_bound(b: float, n) -> "callable":
     """Tail majorant for the log-uniform coefficients at scale n.
 
     |coeff(m)|^2 < (ln b)^2/(2 pi m)^2, so the two-sided tail beyond K sums
-    below (ln b)^2/(2 pi^2 n^2 K).
+    below (ln b)^2/(2 pi^2 n^2 K).  Where that is no positive normal double
+    the coefficients underflow too, and VacuousBoundError is raised.
     """
     b = _require_base(b)
     n = _require_positive_int(n)
     lnb = math.log(b)
 
     def tail(k_max: int) -> float:
-        return lnb * lnb / (2.0 * math.pi**2 * n * n * k_max)
+        value = lnb * lnb / (2.0 * math.pi**2 * n * n * k_max)
+        if value < sys.float_info.min:
+            raise VacuousBoundError(f"the tail majorant underflows at n={n:g}, k_max={k_max}: no certified bound")
+        return value
 
     return tail
 

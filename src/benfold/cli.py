@@ -85,15 +85,9 @@ def table(b: float = 10.0, ns=DEFAULT_NS) -> list[TableRow]:
 
 
 def render_text(rows: list[TableRow], digits: int = 7) -> str:
-    nw = max(1, *(len(str(r.n)) for r in rows))
-    cols = ("exact", "tv_bound", "fourier_bound")
-    widths = [max(len(c), digits + 2) for c in cols]
-    lines = ["{:>{}}  ".format("n", nw) + "  ".join(c.rjust(w) for c, w in zip(cols, widths))]
-    for r in rows:
-        vals = (r.exact, r.tv_bound, r.fourier_bound)
-        cells = [f"{v:.{digits}f}".rjust(w) for v, w in zip(vals, widths)]
-        lines.append(f"{r.n:>{nw}}  " + "  ".join(cells))
-    return "\n".join(lines) + "\n"
+    widths = [max(1, *(len(str(r.n)) for r in rows))] + [max(len(c), digits + 2) for c in TableRow._fields[1:]]
+    lines = [TableRow._fields] + [(str(r.n), *(f"{v:.{digits}f}" for v in r._values()[1:])) for r in rows]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n" for cells in lines)
 
 
 def render_csv(rows: list[TableRow]) -> str:
@@ -101,36 +95,22 @@ def render_csv(rows: list[TableRow]) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "exact", "tv_bound", "fourier_bound"])
-    for r in rows:
-        writer.writerow(
-            [r.n, f"{r.exact:.17g}", f"{r.tv_bound:.17g}", f"{r.fourier_bound:.17g}"]
-        )
+    writer.writerow(TableRow._fields)
+    writer.writerows([r.n, *(f"{v:.17g}" for v in r._values()[1:])] for r in rows)
     return buf.getvalue()
 
 
 def render_json(rows: list[TableRow], b: float) -> str:
     import json
 
+    methods = ("exact_uniform", "uniform_log_closed", "fourier_closed")
     payload = {
         "metadata": {
             "base": b,
-            "method_refs": {
-                "exact": "exact_uniform",
-                "tv_bound": "uniform_log_closed",
-                "fourier_bound": "fourier_closed",
-            },
+            "method_refs": dict(zip(TableRow._fields[1:], methods)),
             "tool_version": __version__,
         },
-        "rows": [
-            {
-                "n": r.n,
-                "exact": r.exact,
-                "tv_bound": r.tv_bound,
-                "fourier_bound": r.fourier_bound,
-            }
-            for r in rows
-        ],
+        "rows": [dict(zip(r._fields, r._values())) for r in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -276,22 +256,9 @@ def _as_int(n: float) -> int:
     return int(r)
 
 
-def _print_bound(report: BoundReport) -> None:
-    head = f"{report.method}  value={report.value:.7f}  n={report.n:g}"
-    if report.b is not None:
-        head += f"  b={report.b:g}"
-    print(head)
-    print(f"unrounded: {report.value!r}")
-    print("hypotheses: " + "; ".join(report.hypotheses_verified))
-
-
-def _print_oracle(result: OracleResult) -> None:
-    print(
-        f"{result.method}  value={result.value:.7f}  "
-        f"error_estimate={result.error_estimate:.3e}"
-    )
-    print(f"unrounded: {result.value!r}")
-    print(f"detail: {result.detail}")
+def _print(method: str, value: float, tags: str, last: str) -> None:
+    # the three lines of `bound`, `exact` and `oracle`
+    print(f"{method}  value={value:.7f}  {tags}\nunrounded: {value!r}\n{last}")
 
 
 def _int_or_real(text: str) -> float:
@@ -359,19 +326,17 @@ def _dispatch(args) -> int:
             sys.stdout.write(render_json(rows, args.base))
         return 0
     if args.command == "bound":
-        _print_bound(run_bound(args.density, args.method, args.n, args.k_max))
-        return 0
-    if args.command == "exact":
-        report = exact_delta_uniform(args.base, args.exponent)
-        params = ExactUniformParams(args.base, args.exponent)
-        print(f"exact_uniform  value={report.value:.7f}  b={args.base:g}  a={args.exponent:g}")
-        print(f"unrounded: {report.value!r}")
-        print(f"x={params.x!r}  u={params.u!r}  t0={params.t0!r}")
-        return 0
-    if args.command == "oracle":
-        _print_oracle(run_oracle(args.density, args.n, args.engine, args.samples, args.bins, args.seed, args.tol))
-        return 0
-    raise DensityError(f"unknown command {args.command!r}")
+        r = run_bound(args.density, args.method, args.n, args.k_max)
+        tags = f"n={r.n:g}" if r.b is None else f"n={r.n:g}  b={r.b:g}"
+        _print(r.method, r.value, tags, "hypotheses: " + "; ".join(r.hypotheses_verified))
+    elif args.command == "exact":
+        r = exact_delta_uniform(args.base, args.exponent)
+        p = ExactUniformParams(args.base, args.exponent)
+        _print(r.method, r.value, f"b={args.base:g}  a={args.exponent:g}", f"x={p.x!r}  u={p.u!r}  t0={p.t0!r}")
+    else:
+        r = run_oracle(args.density, args.n, args.engine, args.samples, args.bins, args.seed, args.tol)
+        _print(r.method, r.value, f"error_estimate={r.error_estimate:.3e}", f"detail: {r.detail}")
+    return 0
 
 
 def main(argv=None) -> int:

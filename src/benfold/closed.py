@@ -223,10 +223,12 @@ class ExactUniformParams(_Record):
 
     x = b**(1/a) is the fold's growth factor, u = (x-1)/ln(x) the mean value
     of the folded density, and t0 = log_x(u) the crossing point where the
-    folded density equals 1.  b and a are stored as floats.
+    folded density equals 1.  b and a are stored as floats; h = ln x and
+    v = u - 1, which u itself rounds away at tiny h, are kept as internals.
     """
 
-    __slots__ = _fields = ("b", "a", "x", "u", "t0")
+    _fields = ("b", "a", "x", "u", "t0")
+    __slots__ = (*_fields, "_h", "_v")
 
     def __init__(self, b: float, a: float):
         b = _require_base(b)
@@ -235,10 +237,10 @@ class ExactUniformParams(_Record):
         if h > 700.0:
             # x overflows; only the asymptotic distance is representable
             t0 = 1.0 - math.log(h) / h if h < math.inf else 1.0
-            self._set(b=b, a=a, x=math.inf, u=math.inf, t0=t0)
+            self._set(b=b, a=a, x=math.inf, u=math.inf, t0=t0, _h=h, _v=math.inf)
             return
         v = _mean_growth_minus_one(h)
-        self._set(b=b, a=a, x=1.0 + math.expm1(h), u=1.0 + v, t0=math.log1p(v) / h)
+        self._set(b=b, a=a, x=1.0 + math.expm1(h), u=1.0 + v, t0=math.log1p(v) / h, _h=h, _v=v)
         if not self.u < self.x + 1e-12:
             raise DensityError("mean value landed outside (1, x); inputs look corrupt")
 
@@ -253,40 +255,31 @@ def exact_delta_uniform(b: float, a: float) -> BoundReport:
     a*X by the oracle).
 
     Evaluates (u ln u - u + 1)/(x - 1) with x = b**(1/a), u = (x-1)/ln x,
-    using expm1/log1p and a small-v series so the x -> 1 regime (large a)
-    stays fully accurate, and the asymptotic form once x overflows.  Raises
-    VacuousBoundError when the distance rounds to 1.
+    as (v/(x - 1)) * (v * S(v)) with v = u - 1 and S the alternating series
+    of ((1+v)ln(1+v) - v)/v**2 below |v| = 0.5, so the x -> 1 regime (large
+    a) keeps its relative accuracy down to the smallest normal result, and
+    the asymptotic form once x overflows.  Raises VacuousBoundError when the
+    distance rounds to 1.
     """
     params = ExactUniformParams(b, a)
-    h = math.log(params.b) / params.a
+    h, v = params._h, params._v
     if not math.isfinite(params.x):
         value = 1.0 - (math.log(h) + 1.0) / h
-        return _exact_report(value, params)
-    v = _mean_growth_minus_one(h)  # params.u - 1.0 would re-cancel for tiny h
-    if abs(v) < 1e-2:
-        # (1+v)ln(1+v) - v = sum_{j>=2} (-1)^j v^j / (j(j-1)); the direct
-        # expression cancels to roundoff here, the series does not
-        acc = -1.0 / 42.0 + v / 56.0
-        for c in (1.0 / 30.0, -1.0 / 20.0, 1.0 / 12.0, -1.0 / 6.0, 0.5):
-            acc = c + v * acc
-        num = v * v * acc
+    elif abs(v) < 0.5:
+        # (1+v)ln(1+v) - v = v*v * sum_{j>=2} (-v)**(j-2)/(j(j-1)): the direct
+        # form cancels here, and v*v alone underflows at huge a
+        powers = [1.0]
+        while abs(powers[-1]) > 1e-17:
+            powers.append(-v * powers[-1])
+        value = v / math.expm1(h) * (v * math.fsum(p / (j * (j - 1)) for j, p in enumerate(powers, 2)))
     else:
-        num = (1.0 + v) * math.log1p(v) - v
-    return _exact_report(num / math.expm1(h), params)
-
-
-def _exact_report(value: float, params: ExactUniformParams) -> BoundReport:
+        value = ((1.0 + v) * math.log1p(v) - v) / math.expm1(h)
     if not value < 1.0:
         raise VacuousBoundError(
             f"exact distance rounds to 1 in double precision at b={params.b!r}, a={params.a!r}"
         )
-    return BoundReport(
-        "exact_uniform",
-        max(value, 0.0),
-        ("closed form for the log-uniform family; no hypotheses beyond b > 1, a > 0",),
-        n=params.a,
-        b=params.b,
-    )
+    hypotheses = ("closed form for the log-uniform family; no hypotheses beyond b > 1, a > 0",)
+    return BoundReport("exact_uniform", value, hypotheses, n=params.a, b=params.b)
 
 
 def folded_cdf_uniform(b: float, a: float, t: float) -> float:

@@ -51,14 +51,12 @@ _ROUNDOFF_FLOOR = 1e-12
 
 
 class QuadratureConfig(_Record):
-    __slots__ = _fields = ("abs_tol", "max_depth", "breakpoints")
+    __slots__ = _fields = ("abs_tol", "breakpoints")
 
-    def __init__(self, abs_tol: float = 1e-10, max_depth: int = 60, breakpoints=()):
+    def __init__(self, abs_tol: float = 1e-10, breakpoints=()):
         if not abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        self._set(abs_tol=abs_tol, max_depth=max_depth, breakpoints=tuple(breakpoints))
+        self._set(abs_tol=abs_tol, breakpoints=tuple(breakpoints))
 
 
 _DEFAULT_CONFIG = QuadratureConfig()  # records are immutable, so every caller can share it
@@ -319,7 +317,7 @@ def adaptive_simpson(
 def integrate(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
     """Adaptive Simpson over [a, b] split at the config's forced breakpoints."""
     cfg = cfg or _DEFAULT_CONFIG
-    return adaptive_simpson(fn, a, b, cfg.abs_tol, cfg.max_depth, cfg.breakpoints)
+    return adaptive_simpson(fn, a, b, cfg.abs_tol, breakpoints=cfg.breakpoints)
 
 
 def bisect_root(fn, a: float, b: float, ends=None) -> float:
@@ -372,7 +370,7 @@ def _fold_end(e: float, width: float):
     return (k, 0.0) if k is not None else (math.floor(e), e - math.floor(e))
 
 
-def _abs_deviation(fn, level, pts, abs_tol, max_depth, scans):
+def _abs_deviation(fn, level, pts, abs_tol, scans):
     """Integral of |fn - level| from pts[0] to pts[-1], signs resolved per piece.
 
     Each interval between consecutive pts is scanned on a grid of as many
@@ -437,7 +435,7 @@ def _abs_deviation(fn, level, pts, abs_tol, max_depth, scans):
     deviation._on_list = lambda xs: [abs(y - level) for y in evalf(xs)]
     # inside a sign-resolved piece |fn - level| differs from fn - level only
     # in sign, so the Simpson decisions are those of integrating fn - level piece by piece
-    result = adaptive_simpson(deviation, pts[0], pts[-1], abs_tol, max_depth, bounds[1:-1], scale)
+    result = adaptive_simpson(deviation, pts[0], pts[-1], abs_tol, breakpoints=bounds[1:-1], scale=scale)
     signed = math.fsum(s * v for s, v in zip(signs, result.pieces))
     return result[0], err + result[1], len(bounds) - 1, signed
 
@@ -466,7 +464,7 @@ def delta_numeric(f: PiecewiseDensity, n: float, cfg: QuadratureConfig | None = 
         2 if monotone and monotone[bisect_right(folded.kinks, p)] and q - _EDGE_INSET * (q - p) < q else 65
         for p, q in zip(pts, pts[1:])
     ]
-    value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, cfg.max_depth, scans)
+    value, err, n_pieces, signed = _abs_deviation(folded, 1.0, pts, cfg.abs_tol, scans)
     if abs(signed) > max(10.0 * err, 1e-9):
         message = f"fold mass is off by {signed:.3g}: the quadrature missed part of the fold"
         raise QuadratureError(message, 0.5 * value, 0.5 * err)
@@ -595,23 +593,6 @@ def _numeric_inverse(seg, mass, u):
     return np.interp(u, cdf, xs)
 
 
-def uniform_sampler(lo: float, hi: float):
-    def sample(rng, size):
-        return rng.uniform(lo, hi, size)
-
-    return sample
-
-
-def uniform_log_sampler(b: float):
-    """Draws of log_b(U[1, b])."""
-    lnb = math.log(b)
-
-    def sample(rng, size):
-        return np.log(rng.uniform(1.0, b, size)) / lnb
-
-    return sample
-
-
 def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = None):
     """Mean value y of fn on [a, b] and the integral of |fn - y|.
 
@@ -623,7 +604,7 @@ def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = No
     total, err_mean = integrate(fn, a, b, cfg)
     y = total / (b - a)
     pts = sorted({a, b, *(p for p in cfg.breakpoints if a < p < b)})
-    residual, err, _, _ = _abs_deviation(fn, y, pts, cfg.abs_tol, cfg.max_depth, repeat(129))
+    residual, err, _, _ = _abs_deviation(fn, y, pts, cfg.abs_tol, repeat(129))
     return residual, y, err_mean + err
 
 

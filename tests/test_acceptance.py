@@ -217,7 +217,7 @@ def test_criterion_7_one_over_n_convergence():
 
 def test_criterion_8_monte_carlo_sanity():
     result = bf.delta_monte_carlo(
-        bf.uniform_log_sampler(10), n=1, samples=10**7, bins=1000, seed=2026
+        bf.inverse_cdf_sampler(bf.uniform_log_density(10)), n=1, samples=10**7, bins=1000, seed=2026
     )
     gap = abs(result.value - 0.2688434)
     ok = gap <= 3.0 * result.error_estimate

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -68,11 +69,26 @@ def test_step_density_names_a_monotone_claim_caller_asserted():
         return 1.0 + 0.5 * np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
 
     honest = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, bump),)))
-    assert honest.hypotheses_verified == ("no shape hypotheses required", "cell integrals: quadrature")
+    assert honest.hypotheses_verified == (
+        "crossings: a 65-point scan of each custom segment not claimed monotone, which can miss some; "
+        "not certified",
+        "cell integrals: quadrature",
+    )
     assert honest.value == pytest.approx(0.5 / math.pi, abs=1e-9)
     claimed = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, bump, True),)))
     assert "caller-asserted" in claimed.hypotheses_verified[0]
     assert claimed.value < honest.value
+
+
+def test_step_density_says_a_scan_that_misses_crossings_is_not_certified():
+    # 64 periods in one cell: the density is its own fold, so the distance is
+    # 1/(2 pi), but the 65-point crossing scan sees almost none of them
+    def ripple(x):
+        return 1.0 + 0.5 * np.sin(2.0 * math.pi * 64.0 * np.asarray(x, dtype=float))
+
+    r = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, ripple),)))
+    assert r.value < 0.5 / math.pi - 0.1
+    assert r.hypotheses_verified[0].endswith("not certified")
 
 
 def test_step_density_offset_support():
@@ -347,6 +363,22 @@ def test_parseval_requires_tail_bound():
         bf.bound_fourier_parseval(bf.uniform_log_coeffs(10), 1, 100, None)
 
 
+def test_parseval_at_huge_n_is_above_the_exact_value_or_refused():
+    # n * n overflows from n = 1e152, and the tail majorant with it; there
+    # the bound once read 0.0 below the true distance
+    refused = []
+    for e in (*range(150, 166), 200, 300):
+        n = 10**e
+        try:
+            r = bf.bound_fourier_parseval(bf.uniform_log_coeffs(10), n, 1000, bf.uniform_log_tail_bound(10, n))
+        except VacuousBoundError as exc:
+            assert "underflows" in str(exc)
+            refused.append(e)
+            continue
+        assert r.value >= bf.exact_delta_uniform(10, n).value
+    assert refused[0] <= 152 and refused[-1] == 300
+
+
 def test_parseval_tail_bound_dominates_true_tail():
     # the majorant must cover the discarded two-sided tail it claims to
     for n in (1, 3, 10):
@@ -441,6 +473,29 @@ def test_exact_delta_matches_high_precision(b, a):
         u = (x - 1) / mpmath.log(x)
         want = float((u * mpmath.log(u) - u + 1) / (x - 1))
     assert got == pytest.approx(want, abs=1e-15, rel=1e-12)
+
+
+def _exact_high_precision(b, a):
+    # the closed form at enough digits to survive its cancellation, ~2 log10(a)
+    with mpmath.workdps(60 + 2 * max(0, int(mpmath.log10(a)))):
+        h = mpmath.log(b) / a
+        u = mpmath.expm1(h) / h
+        return float((u * mpmath.log(u) - u + 1) / mpmath.expm1(h))
+
+
+def test_exact_delta_keeps_its_relative_accuracy_at_every_exponent():
+    # v * v underflowed from a ~ 1e155 and read 0.0 from a ~ 1e162, and the
+    # direct form cancelled just above the old series threshold (b = 10, a = 73)
+    worst = 0.0
+    for b in (2.0, 10.0):
+        for k in range(-2, 309):
+            for m in (1.0, 1.7, 2.0, 3.0, 5.0, 7.3):
+                a = m * 10.0**k
+                want = _exact_high_precision(b, a) if math.isfinite(a) else 0.0
+                if not sys.float_info.min <= want < 1.0:
+                    continue
+                worst = max(worst, abs(bf.exact_delta_uniform(b, a).value - want) / want)
+    assert worst <= 1e-15
 
 
 def test_exact_delta_huge_exponent_asymptote():

@@ -36,6 +36,13 @@ def test_table_matches_golden(capsys):
     assert out == GOLDEN.read_text()
 
 
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_table_formats_match_golden(capsys, fmt):
+    code, out, _ = run_cli(capsys, "table", "--base", "10", "--format", fmt)
+    assert code == 0
+    assert out == GOLDEN.with_name(f"table_b10.{fmt}.golden").read_text()
+
+
 def test_table_custom_ns_and_digits(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "4", "--digits", "5")
     assert code == 0
@@ -134,6 +141,16 @@ def test_bound_parseval_via_cli(capsys):
     assert code == 0
     value = float(out.splitlines()[1].split()[-1])
     assert 0.31 < value < 0.3323495
+
+
+def test_bound_parseval_past_the_doubles_exits_3(capsys):
+    # the tail majorant underflows to 0 here; it once read a certified 0.0
+    code, out, err = run_cli(
+        capsys, "bound", "--density", "uniform-log b=10", "--method", "fourier_parseval", "--n", "1e200"
+    )
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err and "underflows" in err
 
 
 def test_bound_convex_eighth_cli(capsys):

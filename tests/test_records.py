@@ -41,7 +41,7 @@ RECORDS = {
     ),
     "QuadratureConfig": (
         lambda: bf.QuadratureConfig(abs_tol=1e-9, breakpoints=[0.5]),
-        ("abs_tol", "max_depth", "breakpoints"),
+        ("abs_tol", "breakpoints"),
     ),
     "OracleResult": (
         lambda: bf.delta_numeric(bf.uniform_log_density(10), 3),
@@ -106,7 +106,7 @@ def test_cached_internals_stay_out_of_equality():
 
 def test_records_with_different_fields_differ():
     assert bf.ExactUniformParams(10, 3) != bf.ExactUniformParams(10, 4)
-    assert bf.QuadratureConfig() != bf.QuadratureConfig(max_depth=30)
+    assert bf.QuadratureConfig() != bf.QuadratureConfig(abs_tol=1e-9)
     assert bf.exp_segment(0, 1, 1.0, 0.5) != bf.exp_segment(0, 1, 1.0, 0.25)
     # equal fields in another record type are not equal
     assert bf.OracleResult(0.1, 0.0, "m") != bf.BoundReport("tv_quarter", 0.1, ())

@@ -1,6 +1,6 @@
 """The repository's own tooling: the test suite's configuration, checked by running
-pytest on a temporary test, and a check for dead imports in `src/benfold`, the
-tests and `bench`."""
+pytest on a temporary test, a check for dead imports in `src/benfold`, the
+tests and `bench`, and one for private definitions `src/benfold` never reads."""
 
 import ast
 import subprocess
@@ -67,3 +67,44 @@ def test_the_dead_import_check_sees_one(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("import math\nimport os.path\nfrom sys import argv as args\n\n# re-exported\nfrom io import BytesIO\n\nprint(os.sep)\n")
     assert _dead_imports(module) == [(1, "math"), (3, "args")]
+
+
+def _dead_definitions(paths):
+    # (file name, line, name) of each module-level _private def, class or
+    # constant that no module among paths reads, by name, attribute or import
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__") and d not in read:
+                    dead.append((name, node.lineno, d))
+    return dead
+
+
+def test_no_private_definition_in_src_goes_unread():
+    # a helper whose last caller is deleted goes with it
+    assert _dead_definitions(sorted((ROOT / "src/benfold").glob("*.py"))) == []
+
+
+def test_the_dead_definition_check_sees_one(tmp_path):
+    (tmp_path / "a.py").write_text("def _gone():\n    pass\n\n\n_USED = 1\n_UNUSED: int = 2\nclass _Lost:\n    pass\n")
+    (tmp_path / "b.py").write_text("from a import _USED\n\n\ndef _self_only():\n    return _USED\n")
+    found = _dead_definitions(sorted(tmp_path.glob("*.py")))
+    assert found == [("a.py", 1, "_gone"), ("a.py", 6, "_UNUSED"), ("a.py", 7, "_Lost"), ("b.py", 4, "_self_only")]
