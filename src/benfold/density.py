@@ -516,6 +516,8 @@ def triangular_density(lo: float, peak: float, hi: float) -> PiecewiseDensity:
     h = 2.0 / (hi - lo)
     up = h / (peak - lo)
     down = -h / (hi - peak)
+    if not all(sys.float_info.min <= abs(s) < math.inf for s in (up, down)):
+        raise DensityError(f"triangular density on [{lo!r}, {hi!r}] has slopes {up!r} and {down!r}, not normal doubles")
     return PiecewiseDensity(
         (
             linear_segment(lo, peak, up, -up * lo),

@@ -107,7 +107,7 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     interval by a bisect on the kinks and calls each interval's kernel once; a
     number or an array goes through it too, reduced by t - floor(t).  An
     interval is monotone when the `Segment.direction`s of the series it sums,
-    flat ones aside, agree: a sum of series that all rise (or all fall) does.
+    flat ones aside, agree, or all are const or linear: then the sum is affine.
     """
     routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     pieces = []  # per segment: its two images sorted and a kernel (or None) per range
@@ -124,8 +124,9 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     for e in (0.0, *kinks):
         owned = [first if e < below else middle if e < above else last for below, above, first, middle, last in pieces]
         kernels.append(_summed([kernel for kernel in owned if kernel is not None]))
-        ways = {seg.direction for seg, kernel in zip(f.segments, owned) if kernel is not None} - {0}
-        monotone.append(len(ways) <= 1 and None not in ways)
+        summed = [seg for seg, kernel in zip(f.segments, owned) if kernel is not None]
+        ways = {seg.direction for seg in summed} - {0}
+        monotone.append((len(ways) <= 1 and None not in ways) or {seg.kind for seg in summed} <= {"const", "linear"})
     return FoldedDensity(_fold_fn(kinks, kernels), "+".join(sorted(routes)), kinks, tuple(monotone))
 
 
@@ -530,41 +531,33 @@ def delta_monte_carlo(sampler, n: float, samples: int, bins: int, seed: int) -> 
         raise ValueError("sampler must return a 1-d array of the requested size")
     if not np.all(np.isfinite(draws)):
         raise ValueError("sampler produced non-finite values")
-    t = (n * draws) % 1.0
+    t = draws * n  # the one temporary, folded in place; the sampler's array is never written
+    t %= 1.0
     counts, _ = np.histogram(t, bins=bins, range=(0.0, 1.0))
     value = 0.5 * float(np.abs(counts / samples - 1.0 / bins).sum())
     sigma = 0.5 * math.sqrt(bins / samples)
-    return OracleResult(
-        value=value,
-        error_estimate=sigma,
-        method="monte_carlo",
-        detail=(
-            f"seed={seed}, samples={samples}, bins={bins}; histogram distance "
-            "estimates a lower bound of the true distance"
-        ),
-    )
+    detail = "histogram distance estimates a lower bound of the true distance"
+    return OracleResult(value, sigma, "monte_carlo", f"seed={seed}, samples={samples}, bins={bins}; {detail}")
 
 
 def inverse_cdf_sampler(f: PiecewiseDensity):
     """Exact sampler for a piecewise density via per-segment inverse CDFs.
 
-    Segments are chosen by mass, then inverted in closed form by kind:
-    constants uniformly, affine pieces by solving the quadratic CDF,
-    exponentials by the log formula.  Custom segments fall back to a fine
-    numerical inverse.
+    Each segment takes a multinomial share of the draws by mass and inverts
+    as many uniforms by kind: constants uniformly, affine pieces by the
+    quadratic CDF, exponentials by the log formula, custom segments by a fine
+    numerical inverse.  Blocks are joined and shuffled, so the draws stay i.i.d.
     """
     masses = np.array(f.segment_masses)
     weights = masses / masses.sum()
 
     def sample(rng, size):
-        out = np.empty(size, dtype=float)
-        which = rng.choice(len(f.segments), size=size, p=weights)
-        u = rng.random(size)
-        for i, seg in enumerate(f.segments):
-            m = which == i
-            if not m.any():
-                continue
-            out[m] = _invert_segment(seg, masses[i], u[m])
+        counts = rng.multinomial(size, weights)
+        blocks = [_invert_segment(seg, mass, rng.random(k)) for seg, mass, k in zip(f.segments, masses, counts) if k]
+        if len(blocks) == 1:
+            return blocks[0]
+        out = np.concatenate(blocks) if blocks else np.empty(0)
+        rng.shuffle(out)
         return out
 
     return sample

@@ -100,6 +100,30 @@ def test_table_rejects_bad_n_list():
     assert exc_info.value.code == 2
 
 
+def test_table_takes_last_ulp_ties_of_exact_and_tv_bound(capsys):
+    # at huge n the exact distance and ln(10)/(8n) meet within an ulp or
+    # two: at 824 of these n the computed exact value is above the bound, by
+    # at most 4.4e-16 relative, though the true value is below it.  That is
+    # within exact's pinned 1e-15 relative accuracy: a tie
+    ns = sorted({int(10 ** (6 + 9 * i / 3999)) for i in range(4000)} | {10**7 + k * 1_428_571 for k in range(64)})
+    assert any(row.exact > row.tv_bound for row in cli.table(10.0, ns))
+    code, out, err = run_cli(capsys, "table", "--n", ",".join(map(str, ns)))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == len(ns) + 1
+    code, _, err = run_cli(capsys, "table", "--n", "30000000")
+    assert (code, err) == (0, "")
+
+
+def test_table_row_refuses_exact_past_its_accuracy_above_tv_bound():
+    n = 30_000_000
+    tv, fourier = bf.bound_uniform_log_tv(10, n).value, bf.bound_fourier_closed(10, n).value
+    assert cli.TableRow(n, tv * (1.0 + 4.4e-16), tv, fourier).exact > tv  # a tie
+    with pytest.raises(VacuousBoundError, match="ordering chain violated"):
+        cli.TableRow(n, tv * (1.0 + 1e-12), tv, fourier)
+    with pytest.raises(VacuousBoundError, match="ordering chain violated"):
+        cli.TableRow(n, tv, tv, tv)  # tv_bound < fourier_bound stays strict
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
@@ -314,6 +338,17 @@ def test_oracle_mc_engine(capsys):
     assert code == 0
     assert out.startswith("monte_carlo  value=0.2")
     assert "seed=5" in out
+
+
+@pytest.mark.parametrize(
+    "command", [("bound", "--method", "tv_quarter"), ("bound", "--method", "tv_scaled"), ("oracle",)]
+)
+def test_triangular_with_underflowing_slopes_exits_2(capsys, command):
+    # its slopes, +-1e-400, are no doubles at any n: bad input, with the cause named
+    for n in ("1", "7"):
+        code, out, err = run_cli(capsys, *command, "--density", "triangular -1e200 0 1e200", "--n", n)
+        assert (code, out) == (2, "")
+        assert "has slopes 0.0 and -0.0, not normal doubles" in err
 
 
 def test_exp_segment_overflow_exits_2(tmp_path, capsys):

@@ -134,6 +134,18 @@ def test_segment_kind_and_params_are_validated():
         bf.Segment(0.0, 1.0, np.exp, kind="exp", params=(1.0, 1.0))
 
 
+def test_triangular_slopes_off_the_normal_doubles_are_refused():
+    # on [-1e200, 1e200] the slopes, +-1e-400, round to 0 and the mass read
+    # 0 * inf = nan; a subnormal slope or an infinite one is refused alike
+    with pytest.raises(DensityError, match=r"\[-1e\+200, 1e\+200\] has slopes 0\.0 and -0\.0, not normal doubles"):
+        bf.triangular_density(-1e200, 0.0, 1e200)
+    with pytest.raises(DensityError, match="slopes 1e-320 and -1e-320"):
+        bf.triangular_density(-1e160, 0.0, 1e160)
+    with pytest.raises(DensityError, match="slopes inf and -2.0"):
+        bf.triangular_density(0.0, 1e-320, 1.0)
+    assert bf.triangular_density(-1e150, 0.0, 1e150).segments[0].params[0] == pytest.approx(1e-300)
+
+
 def test_validation_messages():
     # the built-in kinds are checked at their two ends, custom on 17 samples;
     # the messages are the same either way

@@ -1,11 +1,14 @@
 """The repository's own tooling: the test suite's configuration, checked by running
 pytest on a temporary test, a check for dead imports in `src/benfold`, the
-tests and `bench`, and one for private definitions `src/benfold` never reads."""
+tests and `bench`, and one for definitions `src/benfold` never reads: private
+ones, and public ones it does not export either."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from benfold import _EXPORTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,9 +72,10 @@ def test_the_dead_import_check_sees_one(tmp_path):
     assert _dead_imports(module) == [(1, "math"), (3, "args")]
 
 
-def _dead_definitions(paths):
-    # (file name, line, name) of each module-level _private def, class or
-    # constant that no module among paths reads, by name, attribute or import
+def _dead_definitions(paths, exported=()):
+    # (file name, line, name) of each module-level def, class or constant
+    # that no module among paths reads, by name, attribute or import, save
+    # public names in exported
     trees = {path.name: ast.parse(path.read_text()) for path in paths}
     read = set()
     for tree in trees.values():
@@ -93,18 +97,27 @@ def _dead_definitions(paths):
             else:
                 continue
             for d in defined:
-                if d.startswith("_") and not d.startswith("__") and d not in read:
+                if not d.startswith("__") and d not in read and (d.startswith("_") or d not in exported):
                     dead.append((name, node.lineno, d))
     return dead
 
 
 def test_no_private_definition_in_src_goes_unread():
-    # a helper whose last caller is deleted goes with it
-    assert _dead_definitions(sorted((ROOT / "src/benfold").glob("*.py"))) == []
+    # a helper whose last caller is deleted goes with it, and so does a
+    # public name that is neither exported nor read
+    assert _dead_definitions(sorted((ROOT / "src/benfold").glob("*.py")), _EXPORTS) == []
 
 
 def test_the_dead_definition_check_sees_one(tmp_path):
     (tmp_path / "a.py").write_text("def _gone():\n    pass\n\n\n_USED = 1\n_UNUSED: int = 2\nclass _Lost:\n    pass\n")
-    (tmp_path / "b.py").write_text("from a import _USED\n\n\ndef _self_only():\n    return _USED\n")
-    found = _dead_definitions(sorted(tmp_path.glob("*.py")))
-    assert found == [("a.py", 1, "_gone"), ("a.py", 6, "_UNUSED"), ("a.py", 7, "_Lost"), ("b.py", 4, "_self_only")]
+    (tmp_path / "b.py").write_text(
+        "from a import _USED\n\n\ndef _self_only():\n    return _USED\n\n\ndef shown():\n    pass\n\n\nLOST = 3\n"
+    )
+    found = _dead_definitions(sorted(tmp_path.glob("*.py")), {"shown"})
+    assert found == [
+        ("a.py", 1, "_gone"),
+        ("a.py", 6, "_UNUSED"),
+        ("a.py", 7, "_Lost"),
+        ("b.py", 4, "_self_only"),
+        ("b.py", 12, "LOST"),
+    ]
