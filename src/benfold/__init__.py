@@ -9,10 +9,11 @@ bounds for any of them; `oracle` folds densities modulo 1 and provides the
 independent numerical ground truth used to validate every bound.
 
 The public names below are loaded on first access (PEP 562), so importing
-the package, or using only the closed forms, does not import numpy.
-Nor do densities of const, linear and exp segments, their bounds and their
-quadrature oracle, which fold in `math`; arrays, custom segments, vectorized
-integrands and Monte Carlo import it on first use.
+the package, or using only the closed forms, does not import numpy.  Nor do
+densities, which are made of const, linear and exp segments, their bounds
+and their quadrature oracle, which fold in `math`; arrays, vectorized
+integrands and Monte Carlo import it on first use.  numpy is the only
+third-party dependency.
 """
 
 import importlib
@@ -28,7 +29,7 @@ _EXPORTS = {
         "closed",
     ),
     **dict.fromkeys(
-        "PiecewiseDensity Segment const_segment exp_segment grid_variation linear_segment "
+        "PiecewiseDensity Segment const_segment exp_segment linear_segment "
         "normalized scale_density triangular_density tv_full_line "
         "tv_integer_delineated uniform_density uniform_log_density".split(),
         "density",

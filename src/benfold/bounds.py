@@ -7,8 +7,10 @@ log-uniform coefficients and tail majorant it is fed.  The log-uniform
 closed forms live in `closed` and are re-exported here.
 
 Every report carries the hypotheses the method relied on and where each
-came from: segment kinds, a custom segment's caller-asserted monotone claim,
-a grid estimate, or the caller's tail bound.  The (sup-inf)/8 bound is
+came from: the segment kinds, or the caller's tail bound.  Every segment is
+const, linear or exp, so the shape hypotheses are certified by kind; an
+arbitrary smooth density is bounded through a piecewise approximation of it,
+and the bound certifies that approximation.  The (sup-inf)/8 bound is
 certified or refused, never assumed.
 """
 
@@ -33,7 +35,7 @@ from .closed import (
     folded_cdf_uniform,
     fourier_coeff_uniform_log,
 )
-from .density import _CROSSING_SCAN, PiecewiseDensity, _snap_int, tv_full_line, tv_integer_delineated
+from .density import PiecewiseDensity, _snap_int, tv_full_line, tv_integer_delineated
 
 
 # ---------------------------------------------------------------------------
@@ -46,29 +48,16 @@ def bound_step_density(f: PiecewiseDensity) -> BoundReport:
 
     The step density matches f's mass on every integer cell and folds to the
     exact uniform, so half the L1 gap bounds the distance of X mod 1 from
-    uniform with no shape hypotheses at all, save on custom segments: the
-    crossings of one claimed monotone are looked for at its ends only, so the
-    report names that claim caller-asserted, and those of any other on a
-    scan of _CROSSING_SCAN points that can miss some, so the report says
-    not certified.  Exact when the support spans a single cell and every
-    crossing is found.
+    uniform with no shape hypotheses at all; every cell integral and level
+    crossing is in closed form.  Exact when the support spans a single cell.
     """
     n_lo, m_hi = f.delineated_interval()
-    customs = [seg for seg in f.segments if seg.kind == "custom"]
     total = 0.0
     for k in range(n_lo, m_hi):
         s_k = sum(seg.mass(k, k + 1) for seg in f.segments)
         total += _cell_abs_deviation(f, float(k), float(k + 1), s_k)
-    shape = "no shape hypotheses required"
-    if any(seg.monotone for seg in customs):
-        shape = "crossings: read at the ends of caller-asserted monotone custom segments"
-    if not all(seg.monotone for seg in customs):
-        shape = (
-            f"crossings: a {_CROSSING_SCAN}-point scan of each custom segment not claimed monotone, "
-            "which can miss some; not certified"
-        )
-    integrals = "cell integrals: quadrature" if customs else "cell integrals: closed form"
-    return BoundReport("step_density", 0.5 * total, (shape, integrals))
+    hypotheses = ("no shape hypotheses required", "cell integrals: closed form")
+    return BoundReport("step_density", 0.5 * total, hypotheses)
 
 
 def _cell_abs_deviation(f: PiecewiseDensity, a: float, b: float, level: float) -> float:
@@ -102,12 +91,7 @@ def _segment_abs_deviation(seg, lo: float, hi: float, level: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _variation_hypothesis(f: PiecewiseDensity) -> str:
-    if not all(seg.monotone for seg in f.segments):
-        return "variation: grid estimate, a lower bound; bound not certified"
-    if any(seg.kind == "custom" for seg in f.segments):
-        return "variation: exact if the custom segments' caller-asserted monotone claims hold"
-    return "variation: exact, every segment monotone by its kind"
+_VARIATION_HYPOTHESIS = "variation: exact, every segment monotone by its kind"
 
 
 def bound_tv_quarter(f: PiecewiseDensity) -> BoundReport:
@@ -115,7 +99,7 @@ def bound_tv_quarter(f: PiecewiseDensity) -> BoundReport:
     tv = tv_integer_delineated(f)
     if not math.isfinite(tv):
         raise VacuousBoundError("variation is infinite; TV/4 carries no information")
-    return BoundReport("tv_quarter", tv / 4.0, (_variation_hypothesis(f),))
+    return BoundReport("tv_quarter", tv / 4.0, (_VARIATION_HYPOTHESIS,))
 
 
 def bound_tv_scaled(f: PiecewiseDensity, n) -> BoundReport:
@@ -136,7 +120,7 @@ def bound_tv_scaled(f: PiecewiseDensity, n) -> BoundReport:
     value = tv / (4.0 * scale)
     if not math.isfinite(value):
         raise VacuousBoundError(f"TV/(4n) = {tv!r}/(4*{scale!r}) is not finite: no information")
-    return BoundReport("tv_scaled", value, (route, _variation_hypothesis(f)), n=scale)
+    return BoundReport("tv_scaled", value, (route, _VARIATION_HYPOTHESIS), n=scale)
 
 
 def bound_convex_eighth(f: PiecewiseDensity) -> BoundReport:
@@ -152,7 +136,6 @@ def bound_convex_eighth(f: PiecewiseDensity) -> BoundReport:
     n_lo, m_hi = f.delineated_interval()
     if (
         len(f.segments) > 1
-        or seg.kind == "custom"
         or not n_lo - 1e-12 <= seg.lo <= n_lo + 1e-12
         or not m_hi - 1e-12 <= seg.hi <= m_hi + 1e-12
     ):

@@ -126,8 +126,8 @@ def render_json(rows: list[TableRow], b: float) -> str:
 def parse_density(text: str) -> tuple[PiecewiseDensity, dict]:
     """Parse a density description.
 
-    Grammar: `uniform LO HI`, `uniform-log b=B`, `exp-on-unit b=B` (one
-    `b=` token, nothing else), `triangular LO PEAK HI`, `piecewise FILE`.
+    Grammar: `uniform LO HI`, `uniform-log b=B` (one `b=` token, nothing
+    else), `triangular LO PEAK HI`, `piecewise FILE`.
     Returns the density and an info dict with the kind and any named
     parameters.
     """
@@ -141,7 +141,7 @@ def parse_density(text: str) -> tuple[PiecewiseDensity, dict]:
             raise DensityError(f"uniform takes LO HI, got {text!r}")
         lo, hi = _num(parts[1]), _num(parts[2])
         return uniform_density(lo, hi), {"kind": kind, "lo": lo, "hi": hi}
-    if kind in ("uniform-log", "exp-on-unit"):
+    if kind == "uniform-log":
         if len(parts) != 2 or not parts[1].startswith("b="):
             raise DensityError(f"{kind} needs exactly one b=BASE, got {text!r}")
         b = _num(parts[1][2:])

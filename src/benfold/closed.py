@@ -225,6 +225,8 @@ class ExactUniformParams(_Record):
     of the folded density, and t0 = log_x(u) the crossing point where the
     folded density equals 1.  b and a are stored as floats; h = ln x and
     v = u - 1, which u itself rounds away at tiny h, are kept as internals.
+    Where v rounds to 0, h is at most the smallest subnormal and t0 takes
+    its h -> 0 limit, 1/2.
     """
 
     _fields = ("b", "a", "x", "u", "t0")
@@ -240,7 +242,8 @@ class ExactUniformParams(_Record):
             self._set(b=b, a=a, x=math.inf, u=math.inf, t0=t0, _h=h, _v=math.inf)
             return
         v = _mean_growth_minus_one(h)
-        self._set(b=b, a=a, x=1.0 + math.expm1(h), u=1.0 + v, t0=math.log1p(v) / h, _h=h, _v=v)
+        t0 = math.log1p(v) / h if v else 0.5
+        self._set(b=b, a=a, x=1.0 + math.expm1(h), u=1.0 + v, t0=t0, _h=h, _v=v)
         if not self.u < self.x + 1e-12:
             raise DensityError("mean value landed outside (1, x); inputs look corrupt")
 
@@ -265,6 +268,8 @@ def exact_delta_uniform(b: float, a: float) -> BoundReport:
     h, v = params._h, params._v
     if not math.isfinite(params.x):
         value = 1.0 - (math.log(h) + 1.0) / h
+    elif not v:
+        value = h / 8.0  # the h -> 0 limit of v*v/(2(x - 1)), with v ~ h/2; h may be 0
     elif abs(v) < 0.5:
         # (1+v)ln(1+v) - v = v*v * sum_{j>=2} (-v)**(j-2)/(j(j-1)): the direct
         # form cancels here, and v*v alone underflows at huge a

@@ -1,15 +1,16 @@
 """Piecewise-smooth probability densities, folding modulo 1, and variation.
 
-A density is a list of smooth segments.  The const, linear and exp kinds are
+A density is a list of const, linear and exp segments.  Each kind is
 monotone and convex by construction, which lets the variation and the
-convexity-boosted bounds run on certified closed forms; a custom segment not
-claimed monotone degrades to grid estimation, reported as a lower bound.
+convexity-boosted bounds run on certified closed forms.  An arbitrary smooth
+density is approximated by such pieces, and every bound then certifies that
+piecewise density.
 
-numpy is imported on first array use.  Building densities from built-in
-segments, their masses, their variation and their translate series at Python
-floats need only `math`, so `benfold bound` and `benfold oracle` on them run
-without numpy.  Segments and densities are `closed._Record`s, so this
-module does not import `dataclasses` either; folding lives in `oracle`.
+numpy is imported on first array use.  Building densities, their masses,
+their variation and their translate series at Python floats need only
+`math`, so `benfold bound` and `benfold oracle` run without numpy.
+Segments and densities are `closed._Record`s, so this module does not
+import `dataclasses` either; folding lives in `oracle`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ _PARAM_MAPS = {
     "const": ((-1,), (1,)),  # value
     "linear": ((-2, -1), (1, 1)),  # slope, intercept
     "exp": ((-1, -1, 1), (1, 0, 0)),  # amp, rate, at
-    "custom": ((1, -1), (0, 1)),  # xscale, amp
 }
 
 # relative slack when deciding whether an endpoint sits exactly on an integer
@@ -53,26 +53,6 @@ _SNAP_WIDTH_SHARE = 1e-3
 _ZERO_MASS = 1e-15
 # a density's total mass must be 1 within this
 _TOTAL_MASS_TOL = 1e-10
-# points a custom segment not claimed monotone is scanned on for crossings of a level
-_CROSSING_SCAN = 65
-# translates a custom segment's series sums per numpy call; custom folds at
-# n = 1e5 ran about 3x slower with 1024 and 2x slower with 65536
-_SERIES_BLOCK = 16384
-
-
-def _quad(fn, a: float, b: float) -> float:
-    # mass of a custom segment, which has no closed-form antiderivative
-    from scipy.integrate import quad
-
-    val, _ = quad(fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
-
-
-def _brentq(fn, a: float, b: float) -> float:
-    # crossing of a custom segment, which has no closed form
-    from scipy.optimize import brentq
-
-    return float(brentq(fn, a, b, xtol=1e-14, rtol=1e-15))
 
 
 def _snap_int(x: float, width: float = math.inf) -> int | None:
@@ -115,61 +95,33 @@ class Segment(_Record):
         const   (value,)            value
         linear  (slope, intercept)  slope*x + intercept
         exp     (amp, rate, at=0)   amp * e**(rate*(x - at)), amp > 0, rate nonzero
-        custom  (xscale, amp)       amp * base(x / xscale)
 
-    base is the callable of a custom segment (None for the other kinds) and
-    must be vectorized over numpy arrays.  Value, mass and level crossings
-    have closed forms for every kind but custom, which integrates and finds
-    crossings numerically with scipy, imported on first use; an exp
-    segment's mass and translate series start from its larger end.  Called
-    on a Python int or float, a built-in kind returns a float computed with
-    `math`; on anything else, an array.  monotone is True for the built-in
-    kinds, whatever is passed; for custom it is the caller's unchecked claim,
-    which lets the variation and the crossing search read the ends only.
+    Every kind is monotone, so its ends bound its values, and value, mass
+    and level crossings have closed forms; an exp segment's mass and
+    translate series start from its larger end.  Called on a Python int or
+    float, a segment returns a float computed with `math`; on anything
+    else, an array.
     """
 
-    __slots__ = _fields = ("lo", "hi", "base", "monotone", "kind", "params")
+    __slots__ = _fields = ("lo", "hi", "kind", "params")
 
-    def __init__(
-        self,
-        lo: float,
-        hi: float,
-        base=None,
-        monotone: bool = False,
-        kind: str = "custom",
-        params=(1.0, 1.0),
-    ):
+    def __init__(self, lo: float, hi: float, kind: str, params):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DensityError("segment endpoints must be finite")
         if not math.isfinite(hi - lo):
             raise DensityError(f"segment width hi - lo must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise DensityError(f"segment needs lo < hi, got [{lo}, {hi}]")
-        if type(monotone) is not bool:
-            raise DensityError(f"monotone must be True or False, got {monotone!r}")
         if kind not in _PARAM_MAPS:
             raise DensityError(f"unknown segment kind {kind!r}")
-        if (base is None) == (kind == "custom"):
-            raise DensityError("a custom segment needs a callable base; other kinds take none")
         params = tuple(params)
         params += (0.0,) if kind == "exp" and len(params) == 2 else ()  # at
         if len(params) != len(_PARAM_MAPS[kind][0]):
             raise DensityError(f"wrong parameter count for a {kind} segment: {params!r}")
         if kind == "exp" and (params[0] == 0.0 or params[1] == 0.0):  # a negative amp fails the value check below
             raise DensityError("exp segment needs a nonzero amp and rate")
-        self._set(lo=lo, hi=hi, base=base, monotone=monotone or kind != "custom", kind=kind, params=params)
-        if kind == "custom":
-            xs = np.linspace(lo, hi, 17)
-            try:
-                ys = self(xs)
-            except (TypeError, ValueError) as exc:
-                raise DensityError(f"segment function must be vectorized: {exc}") from exc
-            if ys.shape != xs.shape:
-                raise DensityError("segment function must be vectorized over numpy arrays")
-            ys = ys.tolist()
-        else:
-            # the built-in kinds are monotone, so their ends bound every value
-            ys = [self(float(lo)), self(float(hi))]
+        self._set(lo=lo, hi=hi, kind=kind, params=params)
+        ys = [self(float(lo)), self(float(hi))]  # the ends bound every value
         if not all(map(math.isfinite, ys)):
             raise DensityError("segment evaluates to a non-finite value")
         if min(ys) < -1e-12:
@@ -177,7 +129,7 @@ class Segment(_Record):
 
     def __call__(self, x):
         p = self.params
-        if type(x) in (float, int) and self.kind != "custom":
+        if type(x) in (float, int):
             # a Python scalar gets the same formula in math, as a float
             x = float(x)
             if self.kind == "const":
@@ -190,17 +142,15 @@ class Segment(_Record):
             return np.full(x.shape, p[0])
         if self.kind == "linear":
             return p[0] * x + p[1]
-        if self.kind == "exp":
-            z = p[1] * (x - p[2])
-            with np.errstate(over="ignore"):
-                e = np.exp(z)
-                y = p[0] * e
-                off = (e < sys.float_info.min) | np.isinf(e)  # e**z is not a normal double: as in _exp
-                if p[0] > 0.0 and off.any():
-                    q = np.exp(0.25 * z)
-                    y = np.where(off, p[0] * q * q * q * q, y)
-            return y
-        return p[1] * np.asarray(self.base(x / p[0]), dtype=float)
+        z = p[1] * (x - p[2])
+        with np.errstate(over="ignore"):
+            e = np.exp(z)
+            y = p[0] * e
+            off = (e < sys.float_info.min) | np.isinf(e)  # e**z is not a normal double: as in _exp
+            if p[0] > 0.0 and off.any():
+                q = np.exp(0.25 * z)
+                y = np.where(off, p[0] * q * q * q * q, y)
+        return y
 
     def mass(self, a: float | None = None, b: float | None = None) -> float:
         """Integral of the segment over [a, b] (defaults to the whole piece).
@@ -216,54 +166,32 @@ class Segment(_Record):
             return p[0] * (b - a)
         if self.kind == "linear":
             return 0.5 * p[0] * (b * b - a * a) + p[1] * (b - a)
-        if self.kind == "exp":
-            x = -abs(p[1]) * (b - a)  # 0 only where e**x is 1 to the last bit
-            return self(float(b if p[1] > 0 else a)) * ((b - a) * (math.expm1(x) / x if x else 1.0))
-        return _quad(self, a, b)
+        x = -abs(p[1]) * (b - a)  # 0 only where e**x is 1 to the last bit
+        return self(float(b if p[1] > 0 else a)) * ((b - a) * (math.expm1(x) / x if x else 1.0))
 
     def crossings(self, level: float, a: float, b: float) -> list[float]:
-        """Points of [a, b] where the segment crosses level.
+        """Points of (a, b) where the segment crosses level.
 
-        Built-in kinds are monotone, so they cross at most once, at a point
-        given in closed form.  A custom segment is scanned (at its endpoints
-        only when claimed monotone) and each sign change refined by brentq.
+        Every kind is monotone, so it crosses at most once, at a point given
+        in closed form.
         """
         p = self.params
         if self.kind == "const" or (self.kind == "linear" and p[0] == 0.0):
             return []
         if self.kind == "linear":
             x = (level - p[1]) / p[0]
-            return [x] if a < x < b else []
-        if self.kind == "exp":
+        else:
             x = p[2] + math.log(level / p[0]) / p[1] if level > 0 else math.nan
-            return [x] if a < x < b else []
-        xs = np.linspace(a, b, 2 if self.monotone else _CROSSING_SCAN)
-        ys = self(xs) - level
-        roots = []
-        for i in range(len(xs) - 1):
-            if ys[i] == 0.0:
-                roots.append(float(xs[i]))
-            elif ys[i] * ys[i + 1] < 0:
-                roots.append(
-                    _brentq(lambda x: float(self(x)) - level, float(xs[i]), float(xs[i + 1]))
-                )
-        return roots
+        return [x] if a < x < b else []
 
     def series(self, k0, k1):
         """The list kernel ts -> [sum of self(t + k) over the integers k0 <= k < k1 for t in ts].
 
-        A built-in kind, for k1 > k0, is one list comprehension over its closed
-        form in math (m equal terms, an arithmetic or a geometric series), all
-        but t computed here, once; a custom segment sums each point's translates
-        in blocks of _SERIES_BLOCK, one numpy call each (0.0 for no translates).
-        An exp series runs down from the value at the larger end: no owned
-        translate, lo <= t + k < hi, gives a larger term.
+        For k1 > k0 it is one list comprehension over the kind's closed form in
+        math (m equal terms, an arithmetic or a geometric series), all but t
+        computed here, once.  An exp series runs down from the value at the
+        larger end: no owned translate, lo <= t + k < hi, gives a larger term.
         """
-        if self.kind == "custom":
-            blocks = [(k, min(k + _SERIES_BLOCK, k1)) for k in range(k0, k1, _SERIES_BLOCK)]
-            return lambda ts: [
-                sum((float(self(t + np.arange(a, b, dtype=float)).sum()) for a, b in blocks), 0.0) for t in ts
-            ]
         m = k1 - k0
         if self.kind == "const":
             total = m * self.params[0]
@@ -279,15 +207,12 @@ class Segment(_Record):
         return lambda ts: [scale * exp(r * (t + shift)) for t in ts]
 
     @property
-    def direction(self):
+    def direction(self) -> int:
         """1, -1 or 0 as the segment's values, and so each of its series, rise, fall or stay flat.
 
         Read from kind and params: 0 for const, the sign of a linear slope, the
-        sign of amp * rate for exp; None for custom, whose direction is not
-        known.  A custom segment's monotone claim is not read.
+        sign of amp * rate for exp.
         """
-        if self.kind == "custom":
-            return None
         p = self.params
         if self.kind == "exp":
             return 1 if (p[0] > 0.0) == (p[1] > 0.0) else -1
@@ -304,7 +229,7 @@ class Segment(_Record):
         if self.kind == "exp" and not sys.float_info.min <= params[0] < math.inf:
             up = params[1] > 0
             params = (self(float(self.hi if up else self.lo)) * (c * n**-1), params[1], float(hi if up else lo))
-        return Segment(lo, hi, self.base, self.monotone, self.kind, params)
+        return Segment(lo, hi, self.kind, params)
 
 
 class _MassError(DensityError):
@@ -380,7 +305,7 @@ class PiecewiseDensity(_Record):
 
 
 def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
-    """Density of n*X: x -> f(x/n)/n, support stretched by n, each segment's kind and claim kept."""
+    """Density of n*X: x -> f(x/n)/n, support stretched by n, each segment's kind kept."""
     scale = _require_positive(n, "scale factor")
     try:
         return PiecewiseDensity([seg.scaled(scale) for seg in f.segments])
@@ -391,29 +316,6 @@ def scale_density(f: PiecewiseDensity, n: float) -> PiecewiseDensity:
 # ---------------------------------------------------------------------------
 # total variation
 # ---------------------------------------------------------------------------
-
-
-def grid_variation(fn, lo: float, hi: float, points: int = 1025) -> float:
-    """Sum of |f(x_{i+1}) - f(x_i)| on a uniform grid.
-
-    A lower bound on the variation over [lo, hi]; refining the grid (nested
-    dyadic point counts) makes it nondecreasing and convergent from below.
-    """
-    xs = np.linspace(lo, hi, points)
-    ys = np.asarray(fn(xs), dtype=float)
-    return float(np.abs(np.diff(ys)).sum())
-
-
-def _grid_variation_refined(fn, lo, hi, tol=1e-10, start=129, cap=32769):
-    est = grid_variation(fn, lo, hi, start)
-    pts = start
-    while pts < cap:
-        pts = 2 * pts - 1
-        nxt = grid_variation(fn, lo, hi, pts)
-        if abs(nxt - est) < max(tol, 1e-12 * abs(nxt)):
-            return nxt
-        est = nxt
-    return est
 
 
 def _variation_core(f: PiecewiseDensity):
@@ -430,10 +332,7 @@ def _variation_core(f: PiecewiseDensity):
         v_lo, v_hi = float(seg(seg.lo)), float(seg(seg.hi))
         if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
             return math.inf, math.inf, math.inf
-        if seg.monotone:
-            total += abs(v_hi - v_lo)
-        else:
-            total += _grid_variation_refined(seg, seg.lo, seg.hi)
+        total += abs(v_hi - v_lo)
         if prev is None:
             v_left = v_lo
         elif seg.lo > prev.hi + 1e-12:

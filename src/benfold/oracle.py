@@ -2,9 +2,9 @@
 
 Everything here is self-contained on purpose: the quadrature is a
 hand-rolled adaptive Simpson scheme and roots come from ITP bracketing, so
-the oracle shares no code path with the closed forms and library-backed
-integrals it is used to check.  Both run on Python floats; a fold is
-evaluated on lists of points, a closed-form one in `math` without numpy.
+the oracle shares no code path with the closed forms it is used to check.
+Both run on Python floats; a fold is evaluated on lists of points, in
+`math` without numpy.
 The fold itself, `fold_mod1`, lives here too: nothing in `bounds` folds, so
 only the oracle loads `dataclasses` for the `FoldedDensity` it returns.
 
@@ -74,18 +74,14 @@ class OracleResult(_Record):
 class FoldedDensity:
     """Density of X mod 1 on [0, 1), as a sum of integer translates.
 
-    route names where the translate sums come from: "closed-form" (built-in
-    segments), "translate-sum" (custom ones), both joined by "+", or
-    "callable" for a fold given as fn.  kinks holds the sorted points of
-    (0, 1) where fn may be non-smooth.  monotone holds, per interval of
-    (0, *kinks), whether fn is monotone there, so that it crosses a level at
-    most once and has its extremes at the interval's ends; () where that is
-    not known, as for a fold given by hand.  Being fields, all three are
-    kept by `dataclasses.replace(folded, fn=...)`.
+    kinks holds the sorted points of (0, 1) where fn may be non-smooth.
+    monotone holds, per interval of (0, *kinks), whether fn is monotone
+    there, so that it crosses a level at most once and has its extremes at
+    the interval's ends; () where that is not known, as for a fold given by
+    hand.  Being fields, both are kept by `dataclasses.replace(folded, fn=...)`.
     """
 
     fn: Callable
-    route: str = "callable"
     kinks: tuple = ()
     monotone: tuple = ()
 
@@ -109,7 +105,6 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
     interval is monotone when the `Segment.direction`s of the series it sums,
     flat ones aside, agree, or all are const or linear: then the sum is affine.
     """
-    routes = {"translate-sum" if seg.kind == "custom" else "closed-form" for seg in f.segments}
     pieces = []  # per segment: its two images sorted and a kernel (or None) per range
     for seg in f.segments:
         width = seg.hi - seg.lo
@@ -126,8 +121,8 @@ def fold_mod1(f: PiecewiseDensity) -> FoldedDensity:
         kernels.append(_summed([kernel for kernel in owned if kernel is not None]))
         summed = [seg for seg, kernel in zip(f.segments, owned) if kernel is not None]
         ways = {seg.direction for seg in summed} - {0}
-        monotone.append((len(ways) <= 1 and None not in ways) or {seg.kind for seg in summed} <= {"const", "linear"})
-    return FoldedDensity(_fold_fn(kinks, kernels), "+".join(sorted(routes)), kinks, tuple(monotone))
+        monotone.append(len(ways) <= 1 or {seg.kind for seg in summed} <= {"const", "linear"})
+    return FoldedDensity(_fold_fn(kinks, kernels), kinks, tuple(monotone))
 
 
 def _summed(kernels):
@@ -472,7 +467,7 @@ def delta_numeric(f: PiecewiseDensity, n: float, cfg: QuadratureConfig | None = 
     detail = (
         f"adaptive Simpson, n={n}, {n_pieces} sign-resolved pieces, "
         f"{len(folded.kinks)} fold kinks, abs_tol={cfg.abs_tol:g}, "
-        f"{sum(monotone)} of {len(folded.kinks) + 1} kink intervals monotone, fold {folded.route}"
+        f"{sum(monotone)} of {len(folded.kinks) + 1} kink intervals monotone"
     )
     return OracleResult(0.5 * value, 0.5 * err, "quadrature_L1", detail)
 
@@ -500,7 +495,6 @@ def delta_crossing_unimodal(
         dev = max(abs(y - 1.0) for y in _evaluator(folded)(_linspace(a, b, 257)))
         if dev < 1e-6:
             detail = "no crossing of 1; density is uniform within grid tolerance"
-            detail += f", fold {folded.route}"
             return OracleResult(0.0, dev, "crossing_point", detail)
         raise ValueError(
             "folded density never crosses 1 but is not uniform; "
@@ -508,7 +502,7 @@ def delta_crossing_unimodal(
         )
     t0 = bisect_root(g, a, b, ends=(ga, gb))
     cdf_t0, err = integrate(folded, 0.0, t0, cfg)
-    detail = f"t0={t0:.15f}, cdf(t0)={cdf_t0:.15f}, fold {folded.route}"
+    detail = f"t0={t0:.15f}, cdf(t0)={cdf_t0:.15f}"
     return OracleResult(abs(t0 - cdf_t0), err, "crossing_point", detail)
 
 
@@ -545,8 +539,8 @@ def inverse_cdf_sampler(f: PiecewiseDensity):
 
     Each segment takes a multinomial share of the draws by mass and inverts
     as many uniforms by kind: constants uniformly, affine pieces by the
-    quadratic CDF, exponentials by the log formula, custom segments by a fine
-    numerical inverse.  Blocks are joined and shuffled, so the draws stay i.i.d.
+    quadratic CDF, exponentials by the log formula.  Blocks are joined and
+    shuffled, so the draws stay i.i.d.
     """
     masses = np.array(f.segment_masses)
     weights = masses / masses.sum()
@@ -572,18 +566,8 @@ def _invert_segment(seg, mass, u):
         s, c = seg.params
         v_lo = s * lo + c
         return lo + (np.sqrt(v_lo * v_lo + 2.0 * s * u * mass) - v_lo) / s
-    if seg.kind == "exp":
-        amp, r, at = seg.params
-        return at + np.log(np.exp(r * (lo - at)) + u * r * mass / amp) / r
-    return _numeric_inverse(seg, mass, u)
-
-
-def _numeric_inverse(seg, mass, u):
-    xs = np.linspace(seg.lo, seg.hi, 4097)
-    ys = seg(xs)
-    cdf = np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) * 0.5 * np.diff(xs))])
-    cdf /= cdf[-1]
-    return np.interp(u, cdf, xs)
+    amp, r, at = seg.params
+    return at + np.log(np.exp(r * (lo - at)) + u * r * mass / amp) / r
 
 
 def averaging_residual(fn, a: float, b: float, cfg: QuadratureConfig | None = None):

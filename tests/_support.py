@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from benfold import PiecewiseDensity, Segment, const_segment, exp_segment, linear_segment, normalized
+from benfold import const_segment, exp_segment, linear_segment, normalized
 from benfold.density import _snap_int, _snapped
 
 
@@ -37,14 +37,53 @@ def random_density(rng, max_cells=5, allow_gaps=True):
     return normalized(segments)
 
 
-def custom_twin(seg):
-    """The same segment as a custom one, evaluated through its function."""
-    return Segment(seg.lo, seg.hi, seg, seg.monotone)
+def _folded_ends(seg):
+    # fold_mod1's rule for a segment's ends: an end e folds to the integer it
+    # snaps to and 0, else to floor(e) and e - floor(e)
+    ends = []
+    for e in (seg.lo, seg.hi):
+        k = _snap_int(e, seg.hi - seg.lo)
+        ends.append((k, 0.0) if k is not None else (math.floor(e), e - math.floor(e)))
+    return ends
 
 
-def custom_twin_density(f):
-    """f rebuilt from custom twins: no closed form anywhere, only callables."""
-    return PiecewiseDensity(tuple(custom_twin(seg) for seg in f.segments))
+def fold_kinks(f):
+    """The points of (0, 1) where the fold of f may be non-smooth: every segment end's image other than 0."""
+    return tuple(sorted({t for seg in f.segments for _, t in _folded_ends(seg)} - {0.0}))
+
+
+# values translate_sum computes per numpy call, about: 8 MB of float64
+_SUM_BLOCK = 1 << 20
+
+
+def translate_sum(f):
+    """The fold of f as a numpy callable: each segment's values at its owned translates t + k, added.
+
+    The test-side fold that shares no closed form with fold_mod1: each
+    value comes from Segment.__call__, never from Segment.series.  A
+    segment owns fold_mod1's translates, k_lo + (t < t_lo) <= k < k_hi +
+    (t < t_hi) for its folded ends (k_lo, t_lo) and (k_hi, t_hi); t is
+    reduced to t - floor(t) first.  The translates are taken in blocks of
+    about _SUM_BLOCK values, so memory does not grow with n.
+    """
+
+    def fold(t):
+        ts = np.asarray(t, dtype=float)
+        flat = ts.reshape(-1)
+        flat = flat - np.floor(flat)
+        out = np.zeros(flat.shape)
+        block = max(1, _SUM_BLOCK // max(1, flat.size))
+        for seg in f.segments:
+            (k_lo, t_lo), (k_hi, t_hi) = _folded_ends(seg)
+            k0 = (k_lo + (flat < t_lo))[:, None]
+            k1 = (k_hi + (flat < t_hi))[:, None]
+            for a in range(k_lo, k_hi + 1, block):
+                ks = np.arange(a, min(a + block, k_hi + 1))
+                owned = (k0 <= ks) & (ks < k1)
+                out += np.where(owned, seg(flat[:, None] + ks), 0.0).sum(axis=1)
+        return out.reshape(ts.shape)
+
+    return fold
 
 
 def reference_fold(f, t):
@@ -82,11 +121,7 @@ def fold_at(f, t):
     """
     out = 0.0
     for seg in f.segments:
-        ends = []
-        for e in (seg.lo, seg.hi):
-            k = _snap_int(e, seg.hi - seg.lo)
-            ends.append((k, 0.0) if k is not None else (math.floor(e), e - math.floor(e)))
-        (k_lo, t_lo), (k_hi, t_hi) = ends
+        (k_lo, t_lo), (k_hi, t_hi) = _folded_ends(seg)
         k0, k1 = k_lo + (t < t_lo), k_hi + (t < t_hi)
         if k1 > k0:
             out += seg.series(k0, k1)([t])[0]

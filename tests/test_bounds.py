@@ -11,7 +11,7 @@ import benfold as bf
 from benfold.bounds import VacuousBoundError
 from benfold.density import DensityError
 
-from _support import custom_twin, custom_twin_density, random_density
+from _support import random_density
 
 LN10 = math.log(10.0)
 
@@ -61,36 +61,6 @@ def test_step_density_reference_value():
     assert f"{got:.7f}" == "0.2688434"
 
 
-def test_step_density_names_a_monotone_claim_caller_asserted():
-    # a custom segment's crossings are looked for at its ends only when it
-    # claims to be monotone; on a bump that claim is false and the bound
-    # misses the whole gap, so the report must not read as certified
-    def bump(x):
-        return 1.0 + 0.5 * np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
-
-    honest = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, bump),)))
-    assert honest.hypotheses_verified == (
-        "crossings: a 65-point scan of each custom segment not claimed monotone, which can miss some; "
-        "not certified",
-        "cell integrals: quadrature",
-    )
-    assert honest.value == pytest.approx(0.5 / math.pi, abs=1e-9)
-    claimed = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, bump, True),)))
-    assert "caller-asserted" in claimed.hypotheses_verified[0]
-    assert claimed.value < honest.value
-
-
-def test_step_density_says_a_scan_that_misses_crossings_is_not_certified():
-    # 64 periods in one cell: the density is its own fold, so the distance is
-    # 1/(2 pi), but the 65-point crossing scan sees almost none of them
-    def ripple(x):
-        return 1.0 + 0.5 * np.sin(2.0 * math.pi * 64.0 * np.asarray(x, dtype=float))
-
-    r = bf.bound_step_density(bf.PiecewiseDensity((bf.Segment(0.0, 1.0, ripple),)))
-    assert r.value < 0.5 / math.pi - 0.1
-    assert r.hypotheses_verified[0].endswith("not certified")
-
-
 def test_step_density_offset_support():
     # fractional, gap-ridden supports still produce a sound bound
     f = bf.PiecewiseDensity(
@@ -116,18 +86,14 @@ def test_tv_quarter_examples():
 
 
 def test_variation_label_tells_a_monotone_kind_from_a_caller_assertion():
-    # built-ins are monotone by their kind; a custom segment only by its
-    # caller's claim, which the label names as asserted, not certified
-    f = bf.uniform_log_density(10)
+    # every segment is const, linear or exp, monotone by its kind, so the
+    # variation is exact on every density; no caller can assert a shape
+    with pytest.raises(TypeError):
+        bf.Segment(0.0, 1.0, "exp", (1.0, 2.0), True)
     by_kind = "variation: exact, every segment monotone by its kind"
-    assert bf.bound_tv_quarter(f).hypotheses_verified == (by_kind,)
-    assert bf.bound_tv_scaled(f, 3).hypotheses_verified[1] == by_kind
-    mixed = bf.PiecewiseDensity((bf.const_segment(0.0, 0.5, 0.5), custom_twin(bf.const_segment(0.5, 1.0, 1.5))))
-    for g in (custom_twin_density(f), mixed):
-        for report in (bf.bound_tv_quarter(g), bf.bound_tv_scaled(g, 3)):
-            assert "caller-asserted" in report.hypotheses_verified[-1]
-    unclaimed = bf.PiecewiseDensity((bf.Segment(0.0, 1.0, f.segments[0]),))
-    assert "not certified" in bf.bound_tv_quarter(unclaimed).hypotheses_verified[0]
+    for f in (bf.uniform_log_density(10), bf.triangular_density(0.0, 0.3, 2.0), random_density(np.random.default_rng(3))):
+        assert bf.bound_tv_quarter(f).hypotheses_verified == (by_kind,)
+        assert bf.bound_tv_scaled(f, 3).hypotheses_verified[1] == by_kind
 
 
 def test_tv_quarter_vacuous_on_infinite_variation(monkeypatch):
@@ -184,18 +150,15 @@ def test_convex_eighth_rejects_contradictions():
     )
     with pytest.raises(DensityError):  # interior zero gap
         bf.bound_convex_eighth(f)
-    flat = bf.PiecewiseDensity((bf.Segment(0.0, 1.0, lambda x: np.full(np.shape(x), 1.0), True),))
-    with pytest.raises(DensityError):  # a custom segment, claimed monotone or not
-        bf.bound_convex_eighth(flat)
 
 
 def test_convex_eighth_caller_assertion():
-    # a custom twin of a certified segment is refused, whatever it claims;
-    # the built-in it copies is certified by its kind alone
+    # a segment is certified by its kind alone: no caller can pass a
+    # function or a shape claim to be taken on trust
     seg = bf.uniform_log_density(10).segments[0]
-    for claim in (True, False):
-        with pytest.raises(DensityError, match="certified only"):
-            bf.bound_convex_eighth(bf.PiecewiseDensity((bf.Segment(seg.lo, seg.hi, seg, claim),)))
+    for kind, params in ((seg, True), ("custom", (1.0, 1.0))):
+        with pytest.raises(DensityError, match="unknown segment kind"):
+            bf.Segment(seg.lo, seg.hi, kind, params)
     report = bf.bound_convex_eighth(bf.PiecewiseDensity((seg,)))
     assert all(h.endswith("certified (segment kind)") for h in report.hypotheses_verified)
 
@@ -310,16 +273,13 @@ def test_fourier_coeff_at_zero_is_one():
 
 
 def test_fourier_coeff_modulus_and_numeric_crosscheck():
-    from scipy.integrate import quad
-
     c = bf.fourier_coeff_uniform_log(10, 1)
     assert abs(c) == pytest.approx(LN10 / math.sqrt(LN10**2 + 4 * math.pi**2), rel=1e-14)
     f = bf.uniform_log_density(10)
     for k in (1, 2, 5):
-        re, _ = quad(lambda x: f(x) * math.cos(2 * math.pi * k * x), 0, 1, epsabs=1e-13)
-        im, _ = quad(lambda x: -f(x) * math.sin(2 * math.pi * k * x), 0, 1, epsabs=1e-13)
+        coeff = mpmath.quad(lambda x: f(float(x)) * mpmath.expjpi(-2 * k * x), [0, 1])
         want = bf.fourier_coeff_uniform_log(10, k)
-        assert complex(re, im) == pytest.approx(want, abs=1e-10)
+        assert complex(coeff) == pytest.approx(want, abs=1e-10)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,9 +14,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import benfold as bf
-from benfold.density import _SERIES_BLOCK, DensityError, _snap_int
+from benfold.density import DensityError, _snap_int
+from benfold.oracle import QuadratureConfig, averaging_residual
 
-from _support import _random_segment, custom_twin, custom_twin_density, fold_at, random_density, reference_fold
+from _support import _random_segment, fold_at, fold_kinks, random_density, reference_fold, translate_sum
 
 LN10 = math.log(10.0)
 
@@ -58,16 +59,13 @@ def test_rejects_negative_values():
 
 
 def test_rejects_bad_flags():
-    with pytest.raises(DensityError):
-        bf.Segment(0, 1, lambda x: np.ones_like(np.asarray(x)), "sideways")
-    # a segment takes no monotonicity or convexity string: its kind owns its shape
+    # a segment takes no callable and no monotonicity or convexity flag: its kind owns its shape
     with pytest.raises(TypeError):
-        bf.Segment(0, 1, None, "decreasing", "convex", "exp", (1.0, 2.0))
-    with pytest.raises(DensityError, match="monotone must be True or False"):
-        bf.Segment(0, 1, None, "decreasing", "exp", (1.0, 2.0))
-    # a built-in kind is monotone whatever its caller passes
-    seg = bf.Segment(0, 1, None, False, "exp", (1.0, 2.0))
-    assert seg.monotone is True and seg == bf.exp_segment(0, 1, 1.0, 2.0)
+        bf.Segment(0, 1, None, False, "exp", (1.0, 2.0))
+    with pytest.raises(DensityError, match="unknown segment kind"):
+        bf.Segment(0, 1, "decreasing", (1.0, 2.0))
+    seg = bf.Segment(0, 1, "exp", (1.0, 2.0))
+    assert seg._fields == ("lo", "hi", "kind", "params") and seg == bf.exp_segment(0, 1, 1.0, 2.0)
 
 
 def test_evaluation_and_ownership():
@@ -97,18 +95,11 @@ def test_delineated_interval():
     assert bf.uniform_density(2, 3).delineated_interval() == (2, 3)
 
 
-def test_custom_segment_must_be_vectorized():
-    with pytest.raises(DensityError):
-        bf.Segment(0.0, 1.0, lambda x: math.exp(x))  # scalar-only callable
-    with pytest.raises(DensityError):
-        bf.Segment(0.0, 1.0, lambda x: 1.0)  # ignores the array shape
-
-
 def test_exp_segment_with_zero_amp_is_refused():
     # a zero amp or rate is no exponential piece; exp_segment refuses it too
     for rate in (1.0, 800.0):
         with pytest.raises(DensityError, match="nonzero amp"):
-            bf.Segment(0.0, 0.5, None, kind="exp", params=(0.0, rate))
+            bf.Segment(0.0, 0.5, "exp", (0.0, rate))
     with pytest.raises(DensityError):
         bf.exp_segment(0.0, 0.5, 0.0, 800.0)
 
@@ -125,13 +116,13 @@ def test_normalized_moves_an_out_of_range_exp_amp_to_the_larger_end():
 
 def test_segment_kind_and_params_are_validated():
     with pytest.raises(DensityError):
-        bf.Segment(0.0, 1.0, None, kind="spline", params=(1.0,))
+        bf.Segment(0.0, 1.0, "spline", (1.0,))
     with pytest.raises(DensityError):
-        bf.Segment(0.0, 1.0, None, kind="linear", params=(1.0,))
+        bf.Segment(0.0, 1.0, "linear", (1.0,))
     with pytest.raises(DensityError):
-        bf.Segment(0.0, 1.0, None, kind="const")  # custom params on a const kind
-    with pytest.raises(DensityError):
-        bf.Segment(0.0, 1.0, np.exp, kind="exp", params=(1.0, 1.0))
+        bf.Segment(0.0, 1.0, "const", (1.0, 1.0))
+    with pytest.raises(DensityError, match="unknown segment kind 'custom'"):
+        bf.Segment(0.0, 1.0, "custom", (1.0, 1.0))
 
 
 def test_triangular_slopes_off_the_normal_doubles_are_refused():
@@ -147,8 +138,7 @@ def test_triangular_slopes_off_the_normal_doubles_are_refused():
 
 
 def test_validation_messages():
-    # the built-in kinds are checked at their two ends, custom on 17 samples;
-    # the messages are the same either way
+    # every kind is monotone, so it is checked at its two ends
     with pytest.raises(DensityError, match="non-finite value"):
         bf.exp_segment(0.0, 1000.0, 1.0, 1.0)  # e**1000 overflows at hi
     with pytest.raises(DensityError, match="non-finite value"):
@@ -156,12 +146,9 @@ def test_validation_messages():
     with pytest.raises(DensityError, match="segment evaluates negative"):
         bf.linear_segment(0.0, 1.0, -3.0, 1.0)
     with pytest.raises(DensityError, match="segment evaluates negative"):
-        bf.Segment(0.0, 1.0, None, kind="exp", params=(-1.0, 1.0))
+        bf.Segment(0.0, 1.0, "exp", (-1.0, 1.0))
     with pytest.raises(DensityError, match="width hi - lo must be finite"):
         bf.linear_segment(-1e308, 1e308, 0.0, 1.0)
-    with pytest.raises(DensityError, match="segment evaluates negative"):
-        # positive at both ends, negative inside: only the samples see it
-        bf.Segment(0.0, 1.0, lambda x: 1.0 - 2.0 * np.sin(np.pi * x))
     with pytest.raises(DensityError, match=r"segment \[0.0, 1e[+]300\] .* has mass nan"):
         # 0.5 * 0.0 * hi**2 is 0 * inf: a nan mass, not a massless segment
         bf.PiecewiseDensity((bf.linear_segment(0.0, 1e300, 0.0, 1e-300),))
@@ -241,8 +228,6 @@ def test_builtin_densities_load_numpy_on_first_array_use():
         "print('FOLDED', repr(bf.fold_mod1(f)(0.25)), 'numpy' in sys.modules)\n"
         "bf.fold_mod1(f)([0.25])\n"
         "print('ARRAY', 'numpy' in sys.modules)\n"
-        "bf.Segment(0.0, 1.0, lambda x: 0.5 + x)\n"
-        "print('CUSTOM', 'numpy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
@@ -253,7 +238,7 @@ def test_builtin_densities_load_numpy_on_first_array_use():
     assert "ARRAY True" in proc.stdout
     code = code.replace("bf.fold_mod1(f)([0.25])", "pass")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert "ARRAY False" in proc.stdout and "CUSTOM True" in proc.stdout, proc.stderr
+    assert "ARRAY False" in proc.stdout, proc.stderr
 
 
 def test_closed_forms_match_callable_path_mass():
@@ -262,23 +247,24 @@ def test_closed_forms_match_callable_path_mass():
         lo = float(rng.uniform(-2.0, 2.0))
         hi = lo + float(rng.uniform(0.05, 3.0))
         seg = _random_segment(rng, lo, hi)
-        twin = custom_twin(seg)
-        assert seg.kind in ("const", "linear", "exp") and twin.kind == "custom"
         for _ in range(3):
             a, b = np.sort(rng.uniform(lo, hi, 2))
-            assert seg.mass(a, b) == pytest.approx(twin.mass(a, b), abs=1e-12)
+            want = mpmath.quad(lambda x: seg(float(x)), [float(a), float(b)])
+            assert seg.mass(a, b) == pytest.approx(float(want), abs=1e-12)
 
 
 def test_closed_forms_match_callable_path_step_density():
+    # half the sum over cells of the integral of |f - its cell mass|, by the
+    # oracle's quadrature, which finds the crossings by its own bisection
     rng = np.random.default_rng(31415)
     for _ in range(25):
         f = random_density(rng)
-        twin = custom_twin_density(f)
         closed = bf.bound_step_density(f)
-        numeric = bf.bound_step_density(twin)
-        assert "cell integrals: closed form" in closed.hypotheses_verified
-        assert "cell integrals: quadrature" in numeric.hypotheses_verified
-        assert closed.value == pytest.approx(numeric.value, abs=1e-10)
+        assert closed.hypotheses_verified == ("no shape hypotheses required", "cell integrals: closed form")
+        cfg = QuadratureConfig(breakpoints=[e for seg in f.segments for e in (seg.lo, seg.hi)])
+        n_lo, m_hi = f.delineated_interval()
+        cells = [averaging_residual(lambda x: np.asarray(f(x)), k, k + 1.0, cfg)[0] for k in range(n_lo, m_hi)]
+        assert closed.value == pytest.approx(0.5 * math.fsum(cells), abs=1e-10)
 
 
 def test_closed_forms_match_callable_path_scale_and_normalize():
@@ -291,19 +277,16 @@ def test_closed_forms_match_callable_path_scale_and_normalize():
         raw = [_random_segment(rng, float(a), float(b)) for a, b in zip(edges, edges[1:])]
         c = 1.0 / math.fsum(seg.mass() for seg in raw)
         n = float(rng.choice([1.0, 3.0, 7.5, 1000.0]))
-        for segs in (raw, [custom_twin(seg) for seg in raw]):
-            scaled = bf.scale_density(bf.normalized(segs), n)
-            for seg, got in zip(raw, scaled.segments):
-                xs = np.linspace(seg.lo * n, seg.hi * n, 33)[1:-1]
-                np.testing.assert_allclose(got(xs), c * seg(xs / n) / n, rtol=1e-13, atol=0)
+        scaled = bf.scale_density(bf.normalized(raw), n)
+        for seg, got in zip(raw, scaled.segments):
+            xs = np.linspace(seg.lo * n, seg.hi * n, 33)[1:-1]
+            np.testing.assert_allclose(got(xs), c * seg(xs / n) / n, rtol=1e-13, atol=0)
 
 
 def test_segment_closed_form_matches_quadrature():
-    from scipy.integrate import quad
-
     seg = bf.exp_segment(0.3, 1.7, 0.4, 1.1)
-    want, _ = quad(seg, 0.5, 1.5, epsabs=1e-12)
-    assert seg.mass(0.5, 1.5) == pytest.approx(want, abs=1e-10)
+    want = mpmath.quad(lambda x: seg(float(x)), [0.5, 1.5])
+    assert seg.mass(0.5, 1.5) == pytest.approx(float(want), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +353,9 @@ def test_fold_scalar_and_vector_agree_exactly(seed, n, ts):
     ts=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=40),
 )
 def test_fold_closed_form_matches_translate_sum(seed, n, ts):
-    # the per-kind closed forms against the translate sum of custom twins
-    f = random_density(np.random.default_rng(seed))
-    closed = bf.fold_mod1(bf.scale_density(f, n))
-    summed = bf.fold_mod1(bf.scale_density(custom_twin_density(f), n))
-    assert (closed.route, summed.route) == ("closed-form", "translate-sum")
-    np.testing.assert_allclose(closed(np.array(ts)), summed(np.array(ts)), rtol=1e-12, atol=1e-12)
+    # the per-kind closed forms against the plain sum of the translates' values
+    g = bf.scale_density(random_density(np.random.default_rng(seed)), n)
+    np.testing.assert_allclose(bf.fold_mod1(g)(np.array(ts)), translate_sum(g)(np.array(ts)), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,11 +384,10 @@ def test_fold_at_its_kinks_matches_the_per_point_rule():
     narrow = (bf.uniform_density(0.0, 1e-13), bf.uniform_density(3.0, 3.000000000001))
     scaled = [bf.scale_density(random_density(rng), n) for _ in range(25) for n in (1, 2, 3, 8)]
     for f in scaled + list(narrow):
-        for g in (f, custom_twin_density(f)):
-            folded = bf.fold_mod1(g)
-            ts = [0.0, math.nextafter(1.0, 0.0), *folded.kinks]
-            ts += [math.nextafter(k, 0.0) for k in folded.kinks]
-            assert [folded(t) for t in ts] == [fold_at(g, t) for t in ts]
+        folded = bf.fold_mod1(f)
+        ts = [0.0, math.nextafter(1.0, 0.0), *folded.kinks]
+        ts += [math.nextafter(k, 0.0) for k in folded.kinks]
+        assert [folded(t) for t in ts] == [fold_at(f, t) for t in ts]
 
 
 def test_a_fold_is_freed_without_the_cyclic_collector():
@@ -433,12 +412,11 @@ def test_fold_kinks_are_the_images_of_every_segment_end():
     narrow = (bf.uniform_density(0.0, 1e-13), bf.uniform_density(3.0, 3.000000000001))
     scaled = [bf.scale_density(random_density(rng), n) for _ in range(20) for n in (1, 2, 3, 8, 997)]
     for f in scaled + list(narrow):
-        for g in (f, custom_twin_density(f)):
-            images = set()
-            for seg in g.segments:
-                for e in (seg.lo, seg.hi):
-                    images.add(0.0 if _snap_int(e, seg.hi - seg.lo) is not None else e - math.floor(e))
-            assert bf.fold_mod1(g).kinks == tuple(sorted(images - {0.0}))
+        images = set()
+        for seg in f.segments:
+            for e in (seg.lo, seg.hi):
+                images.add(0.0 if _snap_int(e, seg.hi - seg.lo) is not None else e - math.floor(e))
+        assert bf.fold_mod1(f).kinks == tuple(sorted(images - {0.0}))
     assert [len(bf.fold_mod1(f).kinks) for f in narrow] == [1, 1]
 
 
@@ -448,35 +426,26 @@ def test_fold_owns_every_translate_of_a_snapped_endpoint():
     # point once dropped it for t below ~4.4e-16, where the fold read 0.96
     g = bf.scale_density(bf.PiecewiseDensity((bf.const_segment(0.28, 1.28, 1.0),)), 25)
     assert g.segments[0].lo == 7.000000000000001
-    for folded in (bf.fold_mod1(g), bf.fold_mod1(custom_twin_density(g))):
-        assert folded.kinks == ()
-        assert [folded(t) for t in (0.0, 1e-17, 1e-16)] == [1.0, 1.0, 1.0]
+    folded = bf.fold_mod1(g)
+    assert folded.kinks == ()
+    for fold in (folded, translate_sum(g)):
+        assert [fold(t) for t in (0.0, 1e-17, 1e-16)] == [1.0, 1.0, 1.0]
 
 
 def test_fold_keeps_every_translate_next_to_one():
     # at n = 1e5, hi - t rounds to an integer for t within ~7e-12 of 1, where
     # finding the range at each point once dropped a translate and read 0.99999
     f = bf.scale_density(bf.triangular_density(0.0, 1.0, 2.0), 100_000)
-    for folded in (bf.fold_mod1(f), bf.fold_mod1(custom_twin_density(f))):
-        assert folded(1.0 - 1e-12) == pytest.approx(1.0, abs=1e-12)
+    for fold in (bf.fold_mod1(f), translate_sum(f)):
+        assert fold(1.0 - 1e-12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fold_is_periodic():
-    f = bf.scale_density(bf.triangular_density(0.0, 0.3, 2.0), 3)
-    for folded in (bf.fold_mod1(f), bf.fold_mod1(custom_twin_density(f))):
-        ts = np.array([0.0, 0.125, 0.5, 0.75])
-        for shift in (-2.0, 1.0, 3.0):
-            np.testing.assert_array_equal(folded(ts + shift), folded(ts))
-            assert [folded(float(t) + shift) for t in ts] == list(folded(ts))
-
-
-def test_custom_fold_scalar_and_vector_agree_exactly():
-    # thousands of translates per point: an array maps each point through the
-    # same kernels as a scalar, so their sums add up in the same order
-    f = bf.scale_density(custom_twin_density(bf.triangular_density(0.0, 0.7, 1.3)), 3001)
-    folded = bf.fold_mod1(f)
-    ts = np.random.default_rng(5).random(150)
-    assert [folded(t) for t in ts] == list(folded(ts))
+    folded = bf.fold_mod1(bf.scale_density(bf.triangular_density(0.0, 0.3, 2.0), 3))
+    ts = np.array([0.0, 0.125, 0.5, 0.75])
+    for shift in (-2.0, 1.0, 3.0):
+        np.testing.assert_array_equal(folded(ts + shift), folded(ts))
+        assert [folded(float(t) + shift) for t in ts] == list(folded(ts))
 
 
 # exp folds at the edge of the doubles: a huge base, and a long steep piece
@@ -496,32 +465,13 @@ def test_fold_list_form_scalar_and_array_calls_agree_bit_for_bit(seed, n, ts):
     # the list form calls each interval's kernel once on all of its points;
     # every point must get the bits of a one-point call and of an array
     f = bf.scale_density(random_density(np.random.default_rng(seed)), n)
-    twin = custom_twin_density(f) if n < 8.0 else f  # a twin sums n translates per point
-    for g in (f, twin, *(make() for make in _EDGE_EXP)):
+    for g in (f, *(make() for make in _EDGE_EXP)):
         folded = bf.fold_mod1(g)
         fn, kinks = folded.fn, folded.kinks
         xs = [*ts, 0.0, *kinks, *ts[::-1], *(math.nextafter(k, 0.0) for k in kinks)]
         listed = fn._on_list(xs)
         assert list(map(float.hex, listed)) == [float.hex(fn(t)) for t in xs]
         assert list(map(float.hex, listed)) == list(map(float.hex, fn(np.array(xs)).tolist()))
-
-
-def test_custom_twin_series_matches_the_closed_form_series():
-    # a custom segment sums its translates in blocks, one numpy call each:
-    # one translate, exactly one block and two blocks plus 5 all add up to
-    # the closed form, and no translates to the float 0.0
-    for k0, k1 in ((-3, -2), (-3, _SERIES_BLOCK - 3), (-3, 2 * _SERIES_BLOCK + 2)):
-        lo, hi = float(k0), k1 + 1.0
-        for seg in (
-            bf.const_segment(lo, hi, 0.7),
-            bf.linear_segment(lo, hi, 0.3, 1.2),
-            bf.exp_segment(lo, hi, 0.4, 1e-3),
-        ):
-            twin = custom_twin(seg)
-            for t in (0.0, 0.25, 0.9):
-                assert twin.series(k0, k1)([t]) == pytest.approx(seg.series(k0, k1)([t]), rel=1e-12, abs=0)
-            [empty] = twin.series(k1, k1)([0.25])
-            assert type(empty) is float and empty == 0.0
 
 
 def test_translate_sum_per_kind_matches_explicit_sum():
@@ -538,8 +488,6 @@ def test_translate_sum_per_kind_matches_explicit_sum():
         # the fold calls series on nonempty ranges only
         series = [seg.series(a, b)([ti])[0] if b > a else 0.0 for ti, a, b in ranges]
         np.testing.assert_allclose(series, want, rtol=1e-13, atol=0)
-        twin = [custom_twin(seg).series(a, b)([ti])[0] if b > a else 0.0 for ti, a, b in ranges]
-        np.testing.assert_allclose(twin, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -661,68 +609,23 @@ def test_fold_of_long_steep_exp_piece_is_finite():
     want = [sum(100.0 * math.exp(100.0 * (t + k)) for k in range(-10, 0)) for t in ts]
     np.testing.assert_allclose(bf.fold_mod1(f)(ts), want, rtol=1e-12, atol=0)
     r = bf.delta_numeric(f, 1)
-    want = bf.delta_numeric(custom_twin_density(f), 1)
-    assert r.value == pytest.approx(want.value, abs=1e-8)
-
-
-def test_fold_route_names_the_summation():
-    f = bf.uniform_log_density(10)
-    mixed = bf.PiecewiseDensity(
-        (bf.const_segment(0.0, 0.5, 0.5), custom_twin(bf.const_segment(0.5, 1.0, 1.5)))
-    )
-    assert bf.fold_mod1(f).route == "closed-form"
-    assert bf.fold_mod1(custom_twin_density(f)).route == "translate-sum"
-    assert bf.fold_mod1(mixed).route == "closed-form+translate-sum"
+    residual, _, _ = averaging_residual(translate_sum(f), 0.0, 1.0)
+    assert r.value == pytest.approx(0.5 * residual, abs=1e-8)
 
 
 @pytest.mark.parametrize("n", (1, 3, 1000))
 def test_mixed_fold_matches_the_closed_form_fold(n):
-    # one built-in and one custom segment, each summed its own way: the fold
-    # reads as the all-built-in one, alike for scalars and arrays
-    f = bf.normalized((bf.exp_segment(0.0, 0.7, 1.0, 1.5), bf.linear_segment(0.7, 1.3, -1.0, 2.0)))
-    mixed = bf.PiecewiseDensity((f.segments[0], custom_twin(f.segments[1])))
-    closed = bf.fold_mod1(bf.scale_density(f, n))
-    folded = bf.fold_mod1(bf.scale_density(mixed, n))
-    assert folded.route == "closed-form+translate-sum"
+    # an exp and a linear segment, folded: the closed-form fold reads as the
+    # plain sum of the translates' values, alike for scalars and arrays, and
+    # so does its distance
+    g = bf.scale_density(bf.normalized((bf.exp_segment(0.0, 0.7, 1.0, 1.5), bf.linear_segment(0.7, 1.3, -1.0, 2.0))), n)
+    folded, summed = bf.fold_mod1(g), translate_sum(g)
     ts = np.linspace(0.0, 1.0, 47, endpoint=False)
     scalars = [folded(float(t)) for t in ts]
     assert scalars == list(folded(ts))
-    np.testing.assert_allclose(scalars, [closed(float(t)) for t in ts], rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(folded(ts), closed(ts), rtol=1e-12, atol=1e-12)
-    assert bf.delta_numeric(mixed, n).value == pytest.approx(bf.delta_numeric(f, n).value, abs=1e-10)
-
-
-def test_custom_fold_memory_does_not_grow_with_n():
-    # 256 points x 1e5 translates would be 200 MB as one array; a custom
-    # series sums fixed-size blocks of translates instead.  The peak RSS is
-    # read in a small launcher process: Linux carries a process's peak RSS
-    # over fork and exec, so a direct child of the test runner reports the
-    # runner's.
-    code = (
-        "import numpy as np\n"
-        "import benfold as bf\n"
-        "from _support import custom_twin_density\n"
-        "f = bf.uniform_log_density(10)\n"
-        "ts = np.linspace(0.0, 1.0, 256, endpoint=False)\n"
-        "got = bf.fold_mod1(bf.scale_density(custom_twin_density(f), 10**5))(ts)\n"
-        "want = bf.fold_mod1(bf.scale_density(f, 10**5))(ts)\n"
-        "print('DIFF', float(np.max(np.abs(got - want))), flush=True)\n"
-    )
-    launcher = (
-        "import resource, subprocess, sys\n"
-        "code = subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode\n"
-        "print('MAXRSS_MB', resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n"
-        "sys.exit(code)\n"
-    )
-    tests_dir = Path(__file__).parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])}
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher, code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = dict(line.split() for line in proc.stdout.splitlines())
-    assert float(out["DIFF"]) <= 1e-12
-    assert float(out["MAXRSS_MB"]) < 150.0
+    np.testing.assert_allclose(scalars, summed(ts), rtol=1e-12, atol=1e-12)
+    residual, _, _ = averaging_residual(summed, 0.0, 1.0, QuadratureConfig(breakpoints=fold_kinks(g)))
+    assert bf.delta_numeric(g, 1).value == pytest.approx(0.5 * residual, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +644,7 @@ def test_scale_preserves_flags_and_shape():
     g = bf.scale_density(f, 5)
     seg = g.segments[0]
     assert (seg.lo, seg.hi) == (0.0, 5.0)
-    assert (seg.kind, seg.monotone, seg.direction) == ("exp", True, 1)
+    assert (seg.kind, seg.direction) == ("exp", 1)
     # g(x) = f(x/5)/5
     assert g(2.0) == pytest.approx(f(0.4) / 5.0, rel=1e-14)
 
@@ -855,8 +758,8 @@ def test_tv_full_line_uniform_log():
     want = 2.0 * f(1.0)
     got = bf.tv_full_line(f)
     assert got == pytest.approx(want, rel=1e-14)
-    # independent check: grid-refinement variation over a wider interval
-    est = bf.grid_variation(f, -0.5, 1.5, points=1 << 15)
+    # independent check: the variation on a fine grid over a wider interval
+    est = float(np.abs(np.diff(f(np.linspace(-0.5, 1.5, 1 << 15)))).sum())
     assert est <= got + 1e-9
     assert got == pytest.approx(est, abs=5e-3)
 
@@ -886,43 +789,6 @@ def test_tv_with_interior_gap():
     # down 1 at 0.5, up 1 at 1.5
     assert bf.tv_integer_delineated(f) == pytest.approx(2.0)
     assert bf.tv_full_line(f) == pytest.approx(4.0)
-
-
-def test_grid_variation_monotone_segment_is_exact_any_grid():
-    f = bf.uniform_log_density(10)
-    seg = f.segments[0]
-    closed = abs(seg(1.0) - seg(0.0))
-    prev = 0.0
-    for points in (5, 9, 17, 65, 257):
-        est = bf.grid_variation(seg, 0.0, 1.0, points)
-        assert est == pytest.approx(closed, rel=1e-12)
-        assert est >= prev - 1e-12
-        prev = est
-
-
-def test_grid_variation_converges_from_below_nonmonotone():
-    def bump(x):
-        return 1.0 + np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
-
-    exact = 4.0  # one full sine period: up 1, down 2, up 1
-    prev = 0.0
-    for points in (9, 17, 33, 65, 129, 257, 513):
-        est = bf.grid_variation(bump, 0.0, 1.0, points)
-        assert prev <= est + 1e-12
-        assert est <= exact + 1e-12
-        prev = est
-    assert prev == pytest.approx(exact, abs=1e-3)
-
-
-def test_tv_falls_back_to_grid_for_unknown_flags():
-    def bump(x):
-        return 1.0 + 0.5 * np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
-
-    seg = bf.Segment(0.0, 1.0, bump)  # a custom segment is not claimed monotone by default
-    f = bf.PiecewiseDensity((seg,))
-    got = bf.tv_integer_delineated(f)
-    assert got == pytest.approx(2.0, abs=1e-4)  # 0.5 amplitude: up .5 down 1 up .5
-    assert got <= 2.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """The repository's own tooling: the test suite's configuration, checked by running
 pytest on a temporary test, a check for dead imports in `src/benfold`, the
-tests and `bench`, and one for definitions `src/benfold` never reads: private
-ones, and public ones it does not export either."""
+tests and `bench`, one for definitions `src/benfold` never reads: private
+ones, and public ones it does not export either, and one that `src/benfold`
+imports no third-party package but its declared runtime dependencies."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from benfold import _EXPORTS
 
@@ -121,3 +125,34 @@ def test_the_dead_definition_check_sees_one(tmp_path):
         ("b.py", 4, "_self_only"),
         ("b.py", 12, "LOST"),
     ]
+
+
+def _third_party_imports(paths):
+    # top-level package names of every absolute import in paths, at module
+    # level or inside a function, save the standard library's
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_src_imports_only_its_runtime_dependencies():
+    # numpy is the one runtime dependency: a lazy import of anything else
+    # would fail only on the path that reaches it
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in dependencies}
+    assert declared == {"numpy"}
+    assert _third_party_imports(sorted((ROOT / "src/benfold").glob("*.py"))) == declared
+
+
+def test_the_third_party_import_check_sees_one(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import math\nfrom numpy import ndarray\nfrom . import sibling\n\n\ndef quad():\n    import scipy.integrate\n"
+    )
+    assert _third_party_imports([tmp_path / "mod.py"]) == {"numpy", "scipy"}
